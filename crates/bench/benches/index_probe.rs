@@ -30,7 +30,7 @@ fn bench_probe(c: &mut Criterion) {
             &bound,
             |b, bound| {
                 let q = specs[14].query.clone(); // country | currency
-                b.iter(|| bound.engine.retrieve(&q))
+                b.iter(|| bound.engine.retrieve(&q).unwrap())
             },
         );
     }

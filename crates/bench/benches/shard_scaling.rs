@@ -48,7 +48,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
             &bound,
             |b, bound| {
                 let q = &requests[0].query;
-                b.iter(|| bound.engine.retrieve(q));
+                b.iter(|| bound.engine.retrieve(q).unwrap());
             },
         );
     }

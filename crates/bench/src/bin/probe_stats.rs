@@ -15,7 +15,11 @@ fn main() {
     let mut rel_from_stage2 = Vec::new();
 
     for spec in &exp.specs {
-        let retrieval = exp.bound.engine.retrieve(&spec.query);
+        let retrieval = exp
+            .bound
+            .engine
+            .retrieve(&spec.query)
+            .expect("retrieval has no deadline and no injected faults");
         let (stage1, stage2, probe2) = (retrieval.stage1, retrieval.stage2, retrieval.probe2_used);
         if stage1.is_empty() && stage2.is_empty() {
             continue;

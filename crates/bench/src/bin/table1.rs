@@ -10,7 +10,11 @@ fn main() {
     let mut sum_total = 0usize;
     let mut sum_rel = 0usize;
     for spec in &exp.specs {
-        let retrieval = exp.bound.engine.retrieve(&spec.query);
+        let retrieval = exp
+            .bound
+            .engine
+            .retrieve(&spec.query)
+            .expect("retrieval has no deadline and no injected faults");
         let candidates = retrieval.candidates();
         let relevant = candidates
             .iter()

@@ -40,6 +40,6 @@ pub mod view;
 
 pub use colsim::{EdgeStats, PairMemo};
 pub use config::{MapperConfig, SimilarityMode, Weights};
-pub use mapper::{ColumnMapper, InferenceAlgorithm, MapStats, MappingResult};
+pub use mapper::{ColumnMapper, InferenceAlgorithm, MapCall, MapStats, MappingResult};
 pub use metrics::f1_error;
 pub use view::{TableFeatures, TableView};

@@ -9,6 +9,7 @@ use crate::inference::{
 };
 use crate::potentials::{node_potentials, NodePotentials};
 use crate::view::TableView;
+use std::time::{Duration, Instant};
 use wwt_index::DocSets;
 use wwt_model::{Label, Labeling, Query, WebTable, WwtError};
 use wwt_text::CorpusStats;
@@ -117,6 +118,24 @@ impl MappingResult {
     }
 }
 
+/// How one [`ColumnMapper::map_views`] call executes. None of it changes
+/// the mapping: the default (serial, uncancellable, untimed) is the
+/// reference every other setting is byte-identical to.
+#[derive(Clone, Copy, Default)]
+pub struct MapCall<'a> {
+    /// Executors for the per-table node-potential batch on the
+    /// persistent worker pool; `<= 1` runs serially on the caller.
+    pub threads: usize,
+    /// In-stage cancellation hook (typically a deadline check),
+    /// consulted once per view inside the node-potential batch and once
+    /// per table during edge construction. A hook that never fires is
+    /// the identity.
+    pub cancel: Option<&'a (dyn Fn() -> Result<(), WwtError> + Sync)>,
+    /// Measure each view's node-potential wall-clock, so tracing callers
+    /// can attach per-view child spans.
+    pub timed: bool,
+}
+
 /// The column mapper (Figure 2's "Column Mapper" box).
 #[derive(Debug, Clone, Default)]
 pub struct ColumnMapper {
@@ -165,7 +184,9 @@ impl ColumnMapper {
             .iter()
             .map(|t| TableView::new(t, stats, self.config.body_freq_frac))
             .collect();
-        self.map_views(query, &views, stats, index)
+        self.map_views(query, &views, stats, index, MapCall::default())
+            .expect("infallible without a cancel hook")
+            .0
     }
 
     /// [`ColumnMapper::map`] over already-built views — the entry point
@@ -173,133 +194,41 @@ impl ColumnMapper {
     /// computes them once at bind time). Views must have been built with
     /// the same statistics and `body_freq_frac` this mapper runs with;
     /// the output is then byte-identical to [`ColumnMapper::map`] on the
-    /// same tables.
+    /// same tables, for every [`MapCall`].
+    ///
+    /// Alongside the mapping, returns each view's node-potential
+    /// wall-clock (input order, one per view) when `call.timed` is set,
+    /// and nothing otherwise. Fails only when `call.cancel` fires.
     pub fn map_views(
         &self,
         query: &Query,
         views: &[TableView<'_>],
         stats: &CorpusStats,
         index: Option<&dyn DocSets>,
-    ) -> MappingResult {
-        self.map_views_with_threads(query, views, stats, index, 1)
-    }
-
-    /// [`ColumnMapper::map_views`] with the per-table node-potential
-    /// batch fanned out over the persistent worker pool. Each candidate's
-    /// potentials depend only on its own view (and the shared read-only
-    /// query view / doc-set index), and the fan-out returns results in
-    /// input order, so the output is **identical** to the serial form for
-    /// every thread count — `threads <= 1` short-circuits to it.
-    pub fn map_views_with_threads(
-        &self,
-        query: &Query,
-        views: &[TableView<'_>],
-        stats: &CorpusStats,
-        index: Option<&dyn DocSets>,
-        threads: usize,
-    ) -> MappingResult {
-        self.map_views_inner(query, views, stats, index, threads, false, None)
-            .expect("infallible without a cancel hook")
-            .0
-    }
-
-    /// [`ColumnMapper::map_views_with_threads`], additionally returning
-    /// each view's node-potential wall-clock duration (input order, one
-    /// per view) so tracing callers can attach per-batch child spans.
-    /// The mapping result is identical to the untimed form — the timing
-    /// wrapper observes the same computation.
-    pub fn map_views_with_threads_timed(
-        &self,
-        query: &Query,
-        views: &[TableView<'_>],
-        stats: &CorpusStats,
-        index: Option<&dyn DocSets>,
-        threads: usize,
-    ) -> (MappingResult, Vec<std::time::Duration>) {
-        self.map_views_inner(query, views, stats, index, threads, true, None)
-            .expect("infallible without a cancel hook")
-    }
-
-    /// [`ColumnMapper::map_views_with_threads`] with an in-stage
-    /// cancellation hook (typically a deadline check), consulted once per
-    /// view inside the node-potential batch and once per table during
-    /// edge construction. A hook that never fires is the identity: the
-    /// result is byte-identical to the uncancellable form.
-    pub fn map_views_cancellable(
-        &self,
-        query: &Query,
-        views: &[TableView<'_>],
-        stats: &CorpusStats,
-        index: Option<&dyn DocSets>,
-        threads: usize,
-        cancel: Option<&(dyn Fn() -> Result<(), WwtError> + Sync)>,
-    ) -> Result<MappingResult, WwtError> {
-        Ok(self
-            .map_views_inner(query, views, stats, index, threads, false, cancel)?
-            .0)
-    }
-
-    /// [`ColumnMapper::map_views_cancellable`] with per-view timings.
-    pub fn map_views_cancellable_timed(
-        &self,
-        query: &Query,
-        views: &[TableView<'_>],
-        stats: &CorpusStats,
-        index: Option<&dyn DocSets>,
-        threads: usize,
-        cancel: Option<&(dyn Fn() -> Result<(), WwtError> + Sync)>,
-    ) -> Result<(MappingResult, Vec<std::time::Duration>), WwtError> {
-        self.map_views_inner(query, views, stats, index, threads, true, cancel)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn map_views_inner(
-        &self,
-        query: &Query,
-        views: &[TableView<'_>],
-        stats: &CorpusStats,
-        index: Option<&dyn DocSets>,
-        threads: usize,
-        timed: bool,
-        cancel: Option<&(dyn Fn() -> Result<(), WwtError> + Sync)>,
-    ) -> Result<(MappingResult, Vec<std::time::Duration>), WwtError> {
+        call: MapCall<'_>,
+    ) -> Result<(MappingResult, Vec<Duration>), WwtError> {
         let cfg = &self.config;
         let qv = QueryView::new(query, stats);
         let q = qv.q();
-        let (mut pots, view_times): (Vec<NodePotentials>, Vec<std::time::Duration>) =
-            if threads <= 1 || views.len() <= 1 {
-                let mut pots = Vec::with_capacity(views.len());
-                let mut times = Vec::new();
-                for v in views {
-                    if let Some(check) = cancel {
-                        check()?;
-                    }
-                    if timed {
-                        let t0 = std::time::Instant::now();
-                        pots.push(node_potentials(&qv, v, cfg, index));
-                        times.push(t0.elapsed());
-                    } else {
-                        pots.push(node_potentials(&qv, v, cfg, index));
-                    }
-                }
-                (pots, times)
-            } else if timed {
-                let (res, times) = wwt_pool::fan_out_timed(views.len(), threads, |i| {
-                    if let Some(check) = cancel {
-                        check()?;
-                    }
-                    Ok::<_, WwtError>(node_potentials(&qv, &views[i], cfg, index))
-                });
-                (res.into_iter().collect::<Result<_, _>>()?, times)
-            } else {
-                let res = wwt_pool::fan_out(views.len(), threads, |i| {
-                    if let Some(check) = cancel {
-                        check()?;
-                    }
-                    Ok::<_, WwtError>(node_potentials(&qv, &views[i], cfg, index))
-                });
-                (res.into_iter().collect::<Result<_, _>>()?, Vec::new())
-            };
+        // Each candidate's potentials depend only on its own view (and
+        // the shared read-only query view / doc-set index), and the
+        // fan-out returns results in input order, so the output is
+        // identical for every thread count.
+        let units = wwt_pool::fan_out(views.len(), call.threads, |i| {
+            if let Some(check) = call.cancel {
+                check()?;
+            }
+            let t0 = call.timed.then(Instant::now);
+            let pots = node_potentials(&qv, &views[i], cfg, index);
+            Ok::<_, WwtError>((pots, t0.map(|t0| t0.elapsed())))
+        });
+        let mut pots: Vec<NodePotentials> = Vec::with_capacity(views.len());
+        let mut view_times = Vec::new();
+        for unit in units {
+            let (p, elapsed) = unit?;
+            pots.push(p);
+            view_times.extend(elapsed);
+        }
         let m_eff: Vec<usize> = views
             .iter()
             .map(|v| cfg.effective_min_match(q, v.n_cols()))
@@ -341,7 +270,7 @@ impl ColumnMapper {
         let edges = if needs_edges {
             let mask = cfg.early_exit.then_some(keep.as_slice());
             let (edges, estats) =
-                build_edges_pruned(views, cfg, mask, cancel, self.pair_memo.as_deref())?;
+                build_edges_pruned(views, cfg, mask, call.cancel, self.pair_memo.as_deref())?;
             map_stats.edge_pairs_scored = estats.pairs_scored;
             map_stats.edge_pairs_skipped = estats.pairs_skipped;
             map_stats.edge_pairs_memoized = estats.pairs_memoized;
@@ -576,9 +505,13 @@ mod tests {
                 .iter()
                 .map(|t| crate::view::TableView::new(t, &stats, mapper.config.body_freq_frac))
                 .collect();
-            let serial = mapper.map_views(&q, &views, &stats, None);
+            let serial = mapper.map(&q, &refs, &stats, None);
             for threads in [2usize, 4, 8] {
-                let pooled = mapper.map_views_with_threads(&q, &views, &stats, None, threads);
+                let call = MapCall {
+                    threads,
+                    ..MapCall::default()
+                };
+                let (pooled, _) = mapper.map_views(&q, &views, &stats, None, call).unwrap();
                 assert_eq!(serial.labelings, pooled.labelings, "{alg:?} t={threads}");
                 for (a, b) in serial.table_relevance.iter().zip(&pooled.table_relevance) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{alg:?} t={threads}");
@@ -599,10 +532,14 @@ mod tests {
             .iter()
             .map(|t| crate::view::TableView::new(t, &stats, mapper.config.body_freq_frac))
             .collect();
-        let plain = mapper.map_views(&q, &views, &stats, None);
+        let plain = mapper.map(&q, &refs, &stats, None);
         for threads in [1usize, 4] {
-            let (timed, times) =
-                mapper.map_views_with_threads_timed(&q, &views, &stats, None, threads);
+            let call = MapCall {
+                threads,
+                cancel: None,
+                timed: true,
+            };
+            let (timed, times) = mapper.map_views(&q, &views, &stats, None, call).unwrap();
             assert_eq!(plain.labelings, timed.labelings, "t={threads}");
             assert_eq!(times.len(), views.len(), "t={threads}");
             for (a, b) in plain.table_relevance.iter().zip(&timed.table_relevance) {
@@ -699,17 +636,25 @@ mod tests {
         };
         for threads in [1usize, 4] {
             calls.store(0, Ordering::SeqCst);
-            let r = mapper.map_views_cancellable(&q, &views, &stats, None, threads, Some(&cancel));
+            let call = MapCall {
+                threads,
+                cancel: Some(&cancel),
+                timed: false,
+            };
+            let r = mapper.map_views(&q, &views, &stats, None, call);
             assert!(
                 matches!(r, Err(WwtError::DeadlineExceeded(_))),
                 "t={threads}"
             );
         }
         // A hook that never fires is the identity.
-        let ok = mapper
-            .map_views_cancellable(&q, &views, &stats, None, 1, Some(&|| Ok(())))
-            .unwrap();
-        let plain = mapper.map_views(&q, &views, &stats, None);
+        let never = || Ok(());
+        let call = MapCall {
+            cancel: Some(&never),
+            ..MapCall::default()
+        };
+        let (ok, _) = mapper.map_views(&q, &views, &stats, None, call).unwrap();
+        let plain = mapper.map(&q, &refs, &stats, None);
         assert_eq!(ok.labelings, plain.labelings);
         for (a, b) in ok.table_relevance.iter().zip(&plain.table_relevance) {
             assert_eq!(a.to_bits(), b.to_bits());

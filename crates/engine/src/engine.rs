@@ -8,7 +8,6 @@
 
 use crate::deadline::Deadline;
 use crate::pipeline::WwtConfig;
-use crate::pool::{fan_out, try_fan_out};
 use crate::request::{QueryDiagnostics, QueryRequest, QueryResponse};
 use crate::retrieval::Retrieval;
 use crate::soft::FailSoft;
@@ -18,7 +17,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wwt_consolidate::{consolidate, RelevantInput};
-use wwt_core::{ColumnMapper, InferenceAlgorithm, MappingResult, TableFeatures, TableView};
+use wwt_core::{
+    ColumnMapper, InferenceAlgorithm, MapCall, MappingResult, TableFeatures, TableView,
+};
 use wwt_html::extract_tables;
 use wwt_index::{
     DocSets, JournalRecord, LiveIndex, LiveOp, SearchHit, ShardedIndex, ShardedIndexBuilder,
@@ -26,6 +27,7 @@ use wwt_index::{
 };
 use wwt_model::{Query, TableId, WebTable, WwtError};
 use wwt_obs::{SpanRecord, Trace};
+use wwt_pool::{fan_out, try_fan_out};
 use wwt_text::{tokenize, TermId};
 
 /// Default shard count: one shard per core, capped — beyond a handful of
@@ -46,6 +48,16 @@ const PARALLEL_PROBE_MIN_DOCS: usize = 4096;
 /// iterations while still bounding how far a giant candidate set can
 /// blow past the budget *inside* a stage.
 const MERGE_DEADLINE_STRIDE: usize = 1024;
+
+/// One query's passage through the online pipeline: the resolved
+/// configuration, the request deadline, the trace it records into and
+/// the failure policy that decides which stage faults it absorbs.
+struct QueryCtx<'a> {
+    cfg: &'a WwtConfig,
+    deadline: Deadline,
+    trace: &'a Trace,
+    policy: FailSoft,
+}
 
 /// Offline builder: accumulates documents/tables, then freezes them into
 /// an [`Engine`] (extract → store → index, paper §2.1).
@@ -273,46 +285,25 @@ impl Engine {
     }
 
     /// Runs the two-stage candidate retrieval (§2.2.1) with the engine
-    /// configuration.
-    pub fn retrieve(&self, query: &Query) -> Retrieval {
-        self.retrieve_with(
-            query,
-            &self.config,
-            &Deadline::none(),
-            &Trace::disabled(),
-            &FailSoft::off(),
-        )
-        .map(|(retrieval, _)| retrieval)
-        .expect("retrieval without a deadline cannot time out")
-    }
-
-    /// [`Engine::retrieve`] under a deadline: the budget is re-checked
-    /// inside the probes — per shard worker and per merge stride — not
-    /// just at stage boundaries, so an expired request fails at the next
-    /// shard/merge checkpoint instead of completing the whole stage.
-    /// (In keeping with [`Deadline`]'s contract, a shard search already
-    /// running is never interrupted mid-flight; the overshoot bound is
-    /// one shard's probe, not one stage.)
-    pub fn retrieve_within(
-        &self,
-        query: &Query,
-        deadline: &Deadline,
-    ) -> Result<Retrieval, WwtError> {
-        self.retrieve_with(
-            query,
-            &self.config,
-            deadline,
-            &Trace::disabled(),
-            &FailSoft::off(),
-        )
-        .map(|(retrieval, _)| retrieval)
+    /// configuration, strictly and without a deadline: it fails only when
+    /// a probe does (an index fault or a panicking shard worker).
+    pub fn retrieve(&self, query: &Query) -> Result<Retrieval, WwtError> {
+        let trace = Trace::disabled();
+        let ctx = QueryCtx {
+            cfg: &self.config,
+            deadline: Deadline::none(),
+            trace: &trace,
+            policy: FailSoft::off(),
+        };
+        self.retrieve_with(query, &ctx)
+            .map(|(retrieval, _)| retrieval)
     }
 
     /// One ranked index probe, scattered across the shards on the engine
     /// pool and gathered with the equivalence-preserving merge. Query
     /// tokens are resolved against the global term dictionary **once**
     /// (one string hash per token); every shard worker then scores pure
-    /// ids. Every worker re-checks `deadline` before probing its shard,
+    /// ids. Every worker re-checks the deadline before probing its shard,
     /// so an expired budget abandons the not-yet-probed shards instead of
     /// finishing work nobody will read (a shard search already underway
     /// runs to completion — checks sit on shard boundaries, bounding the
@@ -321,19 +312,16 @@ impl Engine {
     /// Alongside the merged hits, returns each shard's probe wall-clock
     /// (scatter order) — the per-shard view `QueryDiagnostics` surfaces
     /// so scatter-gather stragglers are visible.
-    #[allow(clippy::too_many_arguments)]
     fn probe(
         &self,
+        ctx: &QueryCtx<'_>,
         tokens: &[String],
         k: usize,
-        deadline: &Deadline,
         stage: &'static str,
-        trace: &Trace,
         label: &'static str,
-        soft: &FailSoft,
     ) -> Result<(Vec<SearchHit>, Vec<Duration>), WwtError> {
         let Some(overlay) = &self.live else {
-            return self.probe_frozen(tokens, k, deadline, stage, trace, label, soft);
+            return self.probe_frozen(ctx, tokens, k, stage, label);
         };
         // Live path: over-fetch the frozen shards by the number of
         // shadowed tables (so filtering tombstoned/overridden hits can
@@ -341,12 +329,12 @@ impl Engine {
         // delta segment's hits under the same global total order the
         // shard merge uses.
         let shadowed = overlay.live.shadowed_len();
-        let (mut hits, shard_times) =
-            self.probe_frozen(tokens, k + shadowed, deadline, stage, trace, label, soft)?;
+        let (mut hits, shard_times) = self.probe_frozen(ctx, tokens, k + shadowed, stage, label)?;
         hits.retain(|h| !overlay.live.is_shadowed(h.table));
         let delta_hits = overlay.live.delta_search(tokens, k);
-        if trace.is_enabled() {
-            trace.note(&format!("{label}_delta_hits"), delta_hits.len().to_string());
+        if ctx.trace.is_enabled() {
+            ctx.trace
+                .note(&format!("{label}_delta_hits"), delta_hits.len().to_string());
         }
         hits.extend(delta_hits);
         hits.sort_by(SearchHit::rank_order);
@@ -354,45 +342,29 @@ impl Engine {
         Ok((hits, shard_times))
     }
 
-    /// The frozen-only scatter-gather behind [`Engine::probe`]. Under
-    /// fail-soft, a shard whose worker errors (or panics) — or that the
-    /// deadline expired before — is dropped from the merge with a
-    /// recorded reason instead of failing the whole probe; its slot in
-    /// the per-shard timing view reads zero.
-    #[allow(clippy::too_many_arguments)]
+    /// The frozen-only scatter-gather behind [`Engine::probe`]. Shard
+    /// workers run panic-isolated: a panicking worker becomes
+    /// [`WwtError::Internal`] naming the panic. A shard whose worker
+    /// errors (or panics), or that the deadline expired before, fails the
+    /// probe — or, fail-soft, is dropped from the merge with a recorded
+    /// reason, its slot in the per-shard timing view reading zero.
     fn probe_frozen(
         &self,
+        ctx: &QueryCtx<'_>,
         tokens: &[String],
         k: usize,
-        deadline: &Deadline,
         stage: &'static str,
-        trace: &Trace,
         label: &'static str,
-        soft: &FailSoft,
     ) -> Result<(Vec<SearchHit>, Vec<Duration>), WwtError> {
         let ids: Vec<TermId> = self.index.resolve_query(tokens);
         let n = self.index.n_shards();
         let probe_one = |s: usize| -> Result<(Vec<SearchHit>, Duration), WwtError> {
-            deadline.check(stage)?;
+            ctx.deadline.check(stage)?;
             wwt_chaos::io_failpoint(wwt_chaos::PROBE_SHARD)?;
             let t0 = Instant::now();
             let hits = self.index.shard(s).search_ids(&ids, k);
             Ok((hits, t0.elapsed()))
         };
-        if n == 1 {
-            let (hits, elapsed) = match probe_one(0) {
-                Ok(r) => r,
-                Err(e) if soft.is_on() => {
-                    soft.note(format!("{stage}: shard 0 dropped: {e}"));
-                    (Vec::new(), Duration::default())
-                }
-                Err(e) => return Err(e),
-            };
-            if trace.is_enabled() {
-                trace.note(&format!("{label}_shard_hits"), hits.len().to_string());
-            }
-            return Ok((hits, vec![elapsed]));
-        }
         // Tiny corpora probe serially (threads = 1): same scatter order,
         // same merged bytes, none of the spawn cost.
         let threads = if self.index.n_docs() >= PARALLEL_PROBE_MIN_DOCS {
@@ -400,62 +372,55 @@ impl Engine {
         } else {
             1
         };
-        // Fail-soft additionally isolates worker *panics* (`try_fan_out`
-        // catches per unit); the strict path keeps the historical
-        // fan-out, where a panic propagates to the service boundary.
-        let per_shard: Vec<Result<(Vec<SearchHit>, Duration), WwtError>> = if soft.is_on() {
-            try_fan_out(n, threads, probe_one)
-                .into_iter()
-                .map(|r| match r {
-                    Ok(inner) => inner,
-                    Err(p) => Err(WwtError::Internal(p.to_string())),
-                })
-                .collect()
-        } else {
-            fan_out(n, threads, probe_one)
-        };
         let mut lists = Vec::with_capacity(n);
         let mut shard_times = Vec::with_capacity(n);
-        for (s, r) in per_shard.into_iter().enumerate() {
-            match r {
+        for (s, r) in try_fan_out(n, threads, probe_one).into_iter().enumerate() {
+            match r.unwrap_or_else(|p| Err(WwtError::Internal(p.to_string()))) {
                 Ok((hits, elapsed)) => {
                     lists.push(hits);
                     shard_times.push(elapsed);
                 }
-                Err(e) if soft.is_on() => {
-                    soft.note(format!("{stage}: shard {s} dropped: {e}"));
+                Err(e) => {
+                    ctx.policy
+                        .absorb(format!("{stage}: shard {s} dropped: {e}"), e)?;
                     shard_times.push(Duration::default());
                 }
-                Err(e) => return Err(e),
             }
         }
-        if trace.is_enabled() {
+        if n == 1 {
+            // A lone shard's list already is the ranking: no merge.
+            let hits = lists.pop().unwrap_or_default();
+            if ctx.trace.is_enabled() {
+                ctx.trace
+                    .note(&format!("{label}_shard_hits"), hits.len().to_string());
+            }
+            return Ok((hits, shard_times));
+        }
+        if ctx.trace.is_enabled() {
             let per_shard_hits: Vec<String> = lists.iter().map(|l| l.len().to_string()).collect();
-            trace.note(&format!("{label}_shard_hits"), per_shard_hits.join(","));
+            ctx.trace
+                .note(&format!("{label}_shard_hits"), per_shard_hits.join(","));
         }
         // Fail-soft merging runs unbudgeted: the hits are already in
         // hand, and losing them to a stride check would throw away the
         // partial result the mode exists to save.
-        let merge_deadline = if soft.is_on() {
+        let merge_deadline = if ctx.policy.is_on() {
             Deadline::none()
         } else {
-            *deadline
+            ctx.deadline
         };
         Ok((merge_shard_hits(lists, k, &merge_deadline)?, shard_times))
     }
 
     /// Retrieval plus the stage-1 pre-mapping it computed along the way
     /// (reusable as the final mapping when the second probe adds
-    /// nothing). Fails only when `deadline` expires at the boundary
-    /// between the first and second probe.
+    /// nothing).
     fn retrieve_with(
         &self,
         query: &Query,
-        cfg: &WwtConfig,
-        deadline: &Deadline,
-        trace: &Trace,
-        soft: &FailSoft,
+        ctx: &QueryCtx<'_>,
     ) -> Result<(Retrieval, MappingResult), WwtError> {
+        let (cfg, trace) = (ctx.cfg, ctx.trace);
         let mut timing = StageTimings::default();
 
         // Probe 1: union of query keywords (hits far below the best match
@@ -463,15 +428,8 @@ impl Engine {
         // the index shards.
         let t0 = Instant::now();
         let tokens = tokenize(&query.all_keywords());
-        let (mut hits1, shard_times1) = self.probe(
-            &tokens,
-            cfg.probe1_k,
-            deadline,
-            "first probe",
-            trace,
-            "probe1",
-            soft,
-        )?;
+        let (mut hits1, shard_times1) =
+            self.probe(ctx, &tokens, cfg.probe1_k, "first probe", "probe1")?;
         if let Some(best) = hits1.first().map(|h| h.score) {
             hits1.retain(|h| h.score >= best * cfg.score_cutoff_frac);
         }
@@ -501,28 +459,16 @@ impl Engine {
 
         // Pre-map stage-1 candidates to find confident seed tables.
         let t0 = Instant::now();
-        let mapper = ColumnMapper {
-            config: cfg.mapper.clone(),
-            algorithm: cfg.algorithm,
-            pair_memo: Some(Arc::clone(&self.pair_memo)),
-        };
-        let pre = match self.map_traced(
-            &mapper,
-            query,
-            &tables1,
-            trace,
-            deadline,
-            "column_map:premap",
-        ) {
+        let pre = match self.map_traced(ctx, cfg.algorithm, query, &tables1, "column_map:premap") {
             Ok(pre) => pre,
-            Err(e) if soft.is_on() => {
+            Err(e) => {
                 // Fail-soft: no pre-mapping means no relevance scores —
                 // the second probe loses its seeds and the final map has
                 // no premap to fall back on, but retrieval itself stands.
-                soft.note(format!("column mapping (premap): {e}"));
+                ctx.policy
+                    .absorb(format!("column mapping (premap): {e}"), e)?;
                 MappingResult::empty()
             }
-            Err(e) => return Err(e),
         };
         timing.column_map += t0.elapsed();
 
@@ -549,13 +495,10 @@ impl Engine {
         // Stage boundary: the second probe (and everything after it) is
         // refused once the budget is spent — or, fail-soft, skipped with
         // the stage-1 candidates standing in for the full retrieval.
-        if let Err(e) = deadline.check("second probe") {
-            if soft.is_on() {
-                soft.note("second probe: skipped (deadline exceeded)");
-                seeds.clear();
-            } else {
-                return Err(e);
-            }
+        if let Err(e) = ctx.deadline.check("second probe") {
+            ctx.policy
+                .absorb("second probe: skipped (deadline exceeded)", e)?;
+            seeds.clear();
         }
 
         let mut stage2: Vec<TableId> = Vec::new();
@@ -585,13 +528,11 @@ impl Engine {
             // wide enough that they cannot crowd out new tables, then keep
             // the top `probe2_k` *new* content-overlap matches.
             let (mut hits2, shard_times2) = self.probe(
+                ctx,
                 &sample_tokens,
                 cfg.probe2_k + stage1.len(),
-                deadline,
                 "second probe",
-                trace,
                 "probe2",
-                soft,
             )?;
             hits2.retain(|h| !stage1_set.contains(&h.table));
             hits2.truncate(cfg.probe2_k);
@@ -613,14 +554,12 @@ impl Engine {
                 // must not carry the request past its budget between the
                 // stage boundaries.
                 if i % MERGE_DEADLINE_STRIDE == 0 {
-                    if let Err(e) = deadline.check("retrieval merge") {
-                        if soft.is_on() {
-                            soft.note(
-                                "retrieval merge: candidate list truncated (deadline exceeded)",
-                            );
-                            break;
-                        }
-                        return Err(e);
+                    if let Err(e) = ctx.deadline.check("retrieval merge") {
+                        ctx.policy.absorb(
+                            "retrieval merge: candidate list truncated (deadline exceeded)",
+                            e,
+                        )?;
+                        break;
                     }
                 }
                 if seen2.insert(h.table) {
@@ -667,7 +606,6 @@ impl Engine {
         // The admission check stays hard even under fail-soft: a budget
         // spent before any work ran has no partial result to salvage.
         deadline.check("retrieval")?;
-        let soft = FailSoft::from_option(request.options.fail_soft);
         let local;
         let trace = if request.options.explain && !trace.is_enabled() {
             local = Trace::enabled("");
@@ -675,28 +613,21 @@ impl Engine {
         } else {
             trace
         };
+        let ctx = QueryCtx {
+            cfg: &cfg,
+            deadline,
+            trace,
+            policy: FailSoft::from_option(request.options.fail_soft),
+        };
+        let max_rows = request.options.max_rows;
         if !trace.is_enabled() {
-            return self.answer_with(
-                &request.query,
-                &cfg,
-                request.options.max_rows,
-                trace,
-                &deadline,
-                &soft,
-            );
+            return self.answer_with(&request.query, &ctx, max_rows);
         }
         let t0 = Instant::now();
         if let Some(ms) = request.options.deadline_ms {
             trace.note("deadline_ms", ms.to_string());
         }
-        let mut response = self.answer_with(
-            &request.query,
-            &cfg,
-            request.options.max_rows,
-            trace,
-            &deadline,
-            &soft,
-        )?;
+        let mut response = self.answer_with(&request.query, &ctx, max_rows)?;
         trace.note(
             "docset_cache_entries",
             self.docset_cache_entries().to_string(),
@@ -706,30 +637,22 @@ impl Engine {
     }
 
     /// Full online pipeline for a bare query with the engine defaults
-    /// (infallible: there are no per-request options to validate and no
-    /// deadline to expire).
+    /// (no per-request options to validate, no deadline to expire), so
+    /// it panics only where [`Engine::answer`] would return an injected
+    /// fault's error.
     pub fn answer_query(&self, query: &Query) -> QueryResponse {
-        self.answer_with(
-            query,
-            &self.config,
-            None,
-            &Trace::disabled(),
-            &Deadline::none(),
-            &FailSoft::off(),
-        )
-        .expect("a query without a deadline cannot time out")
+        self.answer(&QueryRequest::new(query.clone()))
+            .expect("a query without options or a deadline fails only under injected faults")
     }
 
     fn answer_with(
         &self,
         query: &Query,
-        cfg: &WwtConfig,
+        ctx: &QueryCtx<'_>,
         max_rows: Option<usize>,
-        trace: &Trace,
-        deadline: &Deadline,
-        soft: &FailSoft,
     ) -> Result<QueryResponse, WwtError> {
-        let (retrieval, premap) = self.retrieve_with(query, cfg, deadline, trace, soft)?;
+        let (cfg, trace, policy) = (ctx.cfg, ctx.trace, &ctx.policy);
+        let (retrieval, premap) = self.retrieve_with(query, ctx)?;
         let mut timing = retrieval.timing.clone();
         let mut candidates = retrieval.candidates();
 
@@ -738,14 +661,13 @@ impl Engine {
         // or, fail-soft, cut it back to the first-probe candidates the
         // stage-1 pre-mapping already labeled.
         let mut mapping_cut = false;
-        if let Err(e) = deadline.check("column mapping") {
-            if soft.is_on() {
-                soft.note("column mapping: limited to first-probe candidates (deadline exceeded)");
-                mapping_cut = true;
-                candidates.truncate(retrieval.stage1.len());
-            } else {
-                return Err(e);
-            }
+        if let Err(e) = ctx.deadline.check("column mapping") {
+            policy.absorb(
+                "column mapping: limited to first-probe candidates (deadline exceeded)",
+                e,
+            )?;
+            mapping_cut = true;
+            candidates.truncate(retrieval.stage1.len());
         }
 
         let t0 = Instant::now();
@@ -774,26 +696,21 @@ impl Engine {
             // downgrade to independent per-table labeling — a cheaper
             // answer beats none.
             let mut algorithm = cfg.algorithm;
-            if soft.is_on() && deadline.pressured() && algorithm != InferenceAlgorithm::Independent
+            if policy.is_on()
+                && ctx.deadline.pressured()
+                && algorithm != InferenceAlgorithm::Independent
             {
-                soft.note(
+                policy.note(
                     "column mapping: downgraded to independent inference (deadline pressure)",
                 );
                 algorithm = InferenceAlgorithm::Independent;
             }
-            let mapper = ColumnMapper {
-                config: cfg.mapper.clone(),
-                algorithm,
-                pair_memo: Some(Arc::clone(&self.pair_memo)),
-            };
-            match self.map_traced(&mapper, query, &tables, trace, deadline, "column_map") {
-                Ok(mapping) => {
-                    timing.column_map += t0.elapsed();
-                    mapping
-                }
-                Err(e) if soft.is_on() => {
-                    timing.column_map += t0.elapsed();
-                    soft.note(format!("column mapping: {e}"));
+            let mapped = self.map_traced(ctx, algorithm, query, &tables, "column_map");
+            timing.column_map += t0.elapsed();
+            match mapped {
+                Ok(mapping) => mapping,
+                Err(e) => {
+                    policy.absorb(format!("column mapping: {e}"), e)?;
                     fell_back = true;
                     // Fall back to the stage-1 pre-mapping: candidates
                     // are stage1 ++ stage2 and table reads preserve that
@@ -804,7 +721,6 @@ impl Engine {
                     candidates.truncate(tables.len());
                     premap
                 }
-                Err(e) => return Err(e),
             }
         };
         // Diagnostics counters cover every mapper run this request made:
@@ -820,12 +736,8 @@ impl Engine {
         // spent budget (fail-soft: noted and run anyway — it is cheap
         // relative to what is already in hand, and it is the step that
         // turns the surviving candidates into an answer).
-        if let Err(e) = deadline.check("consolidation") {
-            if soft.is_on() {
-                soft.note("consolidation: ran past the deadline");
-            } else {
-                return Err(e);
-            }
+        if let Err(e) = ctx.deadline.check("consolidation") {
+            policy.absorb("consolidation: ran past the deadline", e)?;
         }
 
         let t0 = Instant::now();
@@ -851,6 +763,7 @@ impl Engine {
         if let Some(limit) = max_rows {
             table.rows.truncate(limit);
         }
+        let degraded_reasons = policy.take();
         let diagnostics = QueryDiagnostics {
             timing,
             probe2_used: retrieval.probe2_used,
@@ -859,8 +772,8 @@ impl Engine {
             rows_before_limit,
             trace: None,
             map_stats,
-            degraded: soft.any(),
-            degraded_reasons: soft.take(),
+            degraded: !degraded_reasons.is_empty(),
+            degraded_reasons,
         };
         Ok(QueryResponse {
             table,
@@ -871,61 +784,61 @@ impl Engine {
         })
     }
 
-    /// The column-map batch with optional per-view tracing: disabled
-    /// traces take the untimed pooled path unchanged; enabled traces run
-    /// the timed variant (identical output) and record a span carrying
-    /// one child per view — a deterministic prefix in candidate order,
-    /// so traces of the same request are structurally stable run to run.
+    /// The column-map batch under `algorithm`, with optional per-view
+    /// tracing: an enabled trace times each view (identical output) and
+    /// records a span carrying one child per view — a deterministic
+    /// prefix in candidate order, so traces of the same request are
+    /// structurally stable run to run.
     ///
-    /// The batch runs under `deadline` with in-stage granularity: the
-    /// cancel hook is consulted once per view inside the node-potential
-    /// loop and once per table during edge construction, so a giant
-    /// candidate set cannot carry the request far past its budget
-    /// between stage boundaries (the same contract as
-    /// [`MERGE_DEADLINE_STRIDE`] in retrieval merging).
+    /// The batch runs under the request deadline with in-stage
+    /// granularity: the cancel hook is consulted once per view inside
+    /// the node-potential loop and once per table during edge
+    /// construction, so a giant candidate set cannot carry the request
+    /// far past its budget between stage boundaries (the same contract
+    /// as [`MERGE_DEADLINE_STRIDE`] in retrieval merging).
     fn map_traced(
         &self,
-        mapper: &ColumnMapper,
+        ctx: &QueryCtx<'_>,
+        algorithm: InferenceAlgorithm,
         query: &Query,
         tables: &[&WebTable],
-        trace: &Trace,
-        deadline: &Deadline,
         span_name: &'static str,
     ) -> Result<MappingResult, WwtError> {
         wwt_chaos::io_failpoint(wwt_chaos::MAP_BATCH)?;
+        let mapper = ColumnMapper {
+            config: ctx.cfg.mapper.clone(),
+            algorithm,
+            pair_memo: Some(Arc::clone(&self.pair_memo)),
+        };
         let views = self.views_for(tables);
-        let check = || deadline.check("column mapping");
-        let cancel: Option<&(dyn Fn() -> Result<(), WwtError> + Sync)> = Some(&check);
-        if !trace.is_enabled() {
-            return mapper.map_views_cancellable(
-                query,
-                &views,
-                self.index.stats(),
-                Some(self.docsets()),
-                self.map_threads,
-                cancel,
-            );
-        }
-        let t0 = Instant::now();
-        let (mapping, view_times) = mapper.map_views_cancellable_timed(
+        let check = || ctx.deadline.check("column mapping");
+        let traced = ctx.trace.is_enabled();
+        let t0 = traced.then(Instant::now);
+        let call = MapCall {
+            threads: self.map_threads,
+            cancel: Some(&check),
+            timed: traced,
+        };
+        let (mapping, view_times) = mapper.map_views(
             query,
             &views,
             self.index.stats(),
             Some(self.docsets()),
-            self.map_threads,
-            cancel,
+            call,
         )?;
-        let mut span = SpanRecord::new(span_name, t0.elapsed())
-            .with_detail("views", tables.len().to_string())
-            .with_detail("threads", self.map_threads.to_string());
-        const MAX_VIEW_CHILDREN: usize = 8;
-        for (i, elapsed) in view_times.iter().take(MAX_VIEW_CHILDREN).enumerate() {
-            span = span.with_child(SpanRecord::new(
-                format!("view:{}", tables[i].id.0),
-                *elapsed,
-            ));
+        if let Some(t0) = t0 {
+            let mut span = SpanRecord::new(span_name, t0.elapsed())
+                .with_detail("views", tables.len().to_string())
+                .with_detail("threads", self.map_threads.to_string());
+            const MAX_VIEW_CHILDREN: usize = 8;
+            for (i, elapsed) in view_times.iter().take(MAX_VIEW_CHILDREN).enumerate() {
+                span = span.with_child(SpanRecord::new(
+                    format!("view:{}", tables[i].id.0),
+                    *elapsed,
+                ));
+            }
+            ctx.trace.push_span(span);
         }
-        trace.push_span(span);
         Ok(mapping)
     }
 
@@ -1562,7 +1475,7 @@ mod tests {
     fn retrieval_finds_stage1_candidates() {
         let engine = build_engine();
         let q = Query::parse("country | currency").unwrap();
-        let r = engine.retrieve(&q);
+        let r = engine.retrieve(&q).unwrap();
         assert!(r.stage1.len() >= 2, "stage1 {:?}", r.stage1);
         assert_eq!(r.len(), r.stage1.len() + r.stage2.len());
     }
@@ -1900,6 +1813,7 @@ mod tests {
         let engine = build_engine();
         let victim = engine
             .retrieve(&Query::parse("country | currency").unwrap())
+            .unwrap()
             .stage1[0];
         let live = engine.with_table_removed(victim).expect("known table");
         assert_eq!(live.tombstone_len(), 1);
@@ -2004,6 +1918,7 @@ mod tests {
         let engine = build_engine();
         let victim = engine
             .retrieve(&Query::parse("country | currency").unwrap())
+            .unwrap()
             .stage1[0];
         let replacement = WebTable::new(
             victim,

@@ -166,7 +166,11 @@ pub fn evaluate_query_with(
     mapper_override: Option<&wwt_core::MapperConfig>,
 ) -> QueryEvaluation {
     let query = &spec.query;
-    let candidate_ids: Vec<TableId> = bound.engine.retrieve(query).candidates();
+    let candidate_ids: Vec<TableId> = bound
+        .engine
+        .retrieve(query)
+        .expect("evaluation retrieval has no deadline and no injected faults")
+        .candidates();
     let tables: Vec<&WebTable> = candidate_ids
         .iter()
         .filter_map(|&id| bound.engine.store().get(id))
@@ -247,7 +251,7 @@ pub fn evaluate_query_with(
 }
 
 /// Evaluates `method` on many queries in parallel (via
-/// [`crate::pool::fan_out`]). Results come back in workload order.
+/// [`wwt_pool::fan_out`]). Results come back in workload order.
 pub fn evaluate_workload(
     bound: &BoundCorpus,
     specs: &[QuerySpec],
@@ -266,7 +270,7 @@ pub fn evaluate_workload_with(
     threads: usize,
     mapper_override: Option<&wwt_core::MapperConfig>,
 ) -> Vec<QueryEvaluation> {
-    crate::pool::fan_out(specs.len(), threads, |i| {
+    wwt_pool::fan_out(specs.len(), threads, |i| {
         evaluate_query_with(bound, &specs[i], method, mapper_override)
     })
 }

@@ -1,15 +1,19 @@
-//! Fail-soft execution context ([`QueryOptions::fail_soft`]).
+//! The query pipeline's failure policy ([`QueryOptions::fail_soft`]).
 //!
-//! A [`FailSoft`] handle threads through the online pipeline next to
-//! [`Deadline`](crate::Deadline) and [`Trace`](wwt_obs::Trace). Disabled
-//! (the default) it is inert — every `is_on()` check is a branch on a
-//! plain bool, no lock is ever touched, and the pipeline's error paths
-//! are byte-identical to a build without this module. Enabled, pipeline
-//! stages *absorb* recoverable faults instead of propagating them: a
-//! failed shard probe drops that shard, a mid-stage deadline expiry
-//! truncates the stage, a failed column-map batch falls back to the
-//! stage-1 pre-mapping — and each absorption records one human-readable
-//! reason here. The engine surfaces the collected reasons as
+//! Every stage of the online pipeline that can meet a recoverable fault
+//! — a failed or panicking shard probe, a deadline expiring at or inside
+//! a stage, a failed column-map batch — hands the error to
+//! [`FailSoft::absorb`] together with the reason it would degrade for:
+//!
+//! * **strict** (the default) returns the error, so `absorb(..)?`
+//!   propagates it exactly as a bare `?` would;
+//! * **fail-soft** records the reason and returns `Ok(())`, and the
+//!   stage carries on with what it has: a failed shard is dropped from
+//!   the merge, an expired stage is truncated or skipped, a failed
+//!   mapping batch falls back to the stage-1 pre-mapping.
+//!
+//! The engine surfaces the recorded reasons, in the order they were
+//! absorbed, as
 //! [`QueryDiagnostics::degraded_reasons`](crate::QueryDiagnostics).
 //!
 //! Reasons live behind a `Mutex` because probe workers run on the shared
@@ -18,8 +22,10 @@
 //! [`QueryOptions::fail_soft`]: crate::QueryOptions::fail_soft
 
 use std::sync::Mutex;
+use wwt_model::WwtError;
 
-/// Collector for fail-soft degradation reasons; inert when disabled.
+/// A query's failure policy: strict, or fail-soft with the reasons for
+/// every fault it absorbed.
 #[derive(Debug)]
 pub struct FailSoft {
     enabled: bool,
@@ -27,38 +33,42 @@ pub struct FailSoft {
 }
 
 impl FailSoft {
-    /// A disabled handle: faults propagate exactly as without fail-soft.
+    /// The strict policy: faults propagate exactly as without fail-soft.
     pub fn off() -> Self {
-        FailSoft {
-            enabled: false,
-            reasons: Mutex::new(Vec::new()),
-        }
+        Self::from_option(false)
     }
 
-    /// An enabled handle: recoverable faults degrade instead of failing.
+    /// The fail-soft policy: recoverable faults degrade instead of failing.
     pub fn on() -> Self {
+        Self::from_option(true)
+    }
+
+    /// The policy matching the request option.
+    pub fn from_option(fail_soft: bool) -> Self {
         FailSoft {
-            enabled: true,
+            enabled: fail_soft,
             reasons: Mutex::new(Vec::new()),
         }
     }
 
-    /// A handle matching the request option.
-    pub fn from_option(fail_soft: bool) -> Self {
-        if fail_soft {
-            Self::on()
-        } else {
-            Self::off()
-        }
-    }
-
-    /// True iff faults should be absorbed.
+    /// True iff faults are absorbed.
     pub fn is_on(&self) -> bool {
         self.enabled
     }
 
-    /// Records why a stage degraded. No-op when disabled (callers on the
-    /// absorb path should already have checked [`FailSoft::is_on`]).
+    /// Applies the policy to one stage fault: strict returns `err`;
+    /// fail-soft records `reason` and returns `Ok(())`, so the caller
+    /// continues with its degraded fallback.
+    pub fn absorb(&self, reason: impl Into<String>, err: WwtError) -> Result<(), WwtError> {
+        if !self.enabled {
+            return Err(err);
+        }
+        self.note(reason);
+        Ok(())
+    }
+
+    /// Records why a stage degraded without an error to absorb (e.g. a
+    /// pre-emptive downgrade). No-op under the strict policy.
     pub fn note(&self, reason: impl Into<String>) {
         if !self.enabled {
             return;
@@ -67,16 +77,6 @@ impl FailSoft {
             .lock()
             .expect("fail-soft reason lock poisoned")
             .push(reason.into());
-    }
-
-    /// True iff at least one degradation was recorded.
-    pub fn any(&self) -> bool {
-        self.enabled
-            && !self
-                .reasons
-                .lock()
-                .expect("fail-soft reason lock poisoned")
-                .is_empty()
     }
 
     /// Drains the recorded reasons (insertion order).
@@ -94,19 +94,29 @@ mod tests {
         let s = FailSoft::off();
         assert!(!s.is_on());
         s.note("ignored");
-        assert!(!s.any());
         assert!(s.take().is_empty());
         assert!(!FailSoft::from_option(false).is_on());
+    }
+
+    #[test]
+    fn strict_absorb_returns_the_error() {
+        let s = FailSoft::off();
+        let err = WwtError::DeadlineExceeded("second probe".into());
+        match s.absorb("second probe: skipped", err) {
+            Err(WwtError::DeadlineExceeded(stage)) => assert_eq!(stage, "second probe"),
+            other => panic!("strict absorb must return the error, got {other:?}"),
+        }
+        assert!(s.take().is_empty());
     }
 
     #[test]
     fn on_collects_in_order() {
         let s = FailSoft::on();
         assert!(s.is_on());
-        assert!(!s.any());
-        s.note("probe1: shard 2 dropped");
+        assert!(s.take().is_empty());
+        s.absorb("probe1: shard 2 dropped", WwtError::Internal("boom".into()))
+            .unwrap();
         s.note(String::from("second probe: skipped"));
-        assert!(s.any());
         assert_eq!(
             s.take(),
             vec![
@@ -114,7 +124,7 @@ mod tests {
                 "second probe: skipped".to_string()
             ]
         );
-        assert!(!s.any());
+        assert!(s.take().is_empty());
         assert!(FailSoft::from_option(true).is_on());
     }
 }

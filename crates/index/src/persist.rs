@@ -1,7 +1,7 @@
 //! Binary persistence of the index ("stored on disk" — paper §2.1).
 //!
-//! Shard-file format (little-endian, via the `bytes` crate) — unchanged
-//! since v1, so files written before term interning still load:
+//! Shard-file format (little-endian) — unchanged since v1, so files
+//! written before term interning still load:
 //!
 //! ```text
 //! magic  u64  = 0x5757_5449_4458_0001            ("WWTIDX" v1)
@@ -28,7 +28,6 @@
 use crate::builder::FrozenShard;
 use crate::field::Field;
 use crate::search::{Posting, Postings, TableIndex};
-use bytes::{Buf, BufMut, BytesMut};
 use std::io::{Read, Write};
 use std::path::Path;
 use wwt_model::{TableId, WwtError};
@@ -40,18 +39,18 @@ const MAGIC: u64 = 0x5757_5449_4458_0001;
 /// truncating one would desynchronize the reader mid-stream and corrupt
 /// the whole file.
 pub fn to_bytes(index: &TableIndex) -> Result<Vec<u8>, WwtError> {
-    let mut buf = BytesMut::new();
-    buf.put_u64_le(MAGIC);
-    buf.put_u32_le(index.doc_tables.len() as u32);
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&(index.doc_tables.len() as u32).to_le_bytes());
     for (i, t) in index.doc_tables.iter().enumerate() {
-        buf.put_u32_le(t.0);
+        buf.extend_from_slice(&t.0.to_le_bytes());
         for f in Field::ALL {
-            buf.put_u32_le(index.field_lens[i][f.dense()]);
+            buf.extend_from_slice(&index.field_lens[i][f.dense()].to_le_bytes());
         }
     }
     // Ascending id = sorted term order (the dictionary is frozen sorted),
     // reproducing the deterministic layout of the pre-interning format.
-    buf.put_u32_le(index.vocab_size() as u32);
+    buf.extend_from_slice(&(index.vocab_size() as u32).to_le_bytes());
     for (id, post) in index.postings.iter().enumerate() {
         let Some(post) = post else { continue };
         let bytes = index.dict.term(wwt_text::TermId(id as u32)).as_bytes();
@@ -61,65 +60,97 @@ pub fn to_bytes(index: &TableIndex) -> Result<Vec<u8>, WwtError> {
                 bytes.len()
             ))
         })?;
-        buf.put_u16_le(len);
-        buf.put_slice(bytes);
+        buf.extend_from_slice(&len.to_le_bytes());
+        buf.extend_from_slice(bytes);
         for f in Field::ALL {
             let list = &post.per_field[f.dense()];
-            buf.put_u32_le(list.len() as u32);
+            buf.extend_from_slice(&(list.len() as u32).to_le_bytes());
             for p in list {
-                buf.put_u32_le(p.doc);
-                buf.put_u32_le(p.tf);
+                buf.extend_from_slice(&p.doc.to_le_bytes());
+                buf.extend_from_slice(&p.tf.to_le_bytes());
             }
         }
     }
-    Ok(buf.to_vec())
+    Ok(buf)
+}
+
+/// Little-endian reader over an index file's bytes. Every read is
+/// bounds-checked into a typed [`WwtError::Corrupt`], and every
+/// count-driven allocation is capped by the bytes that remain, so a
+/// corrupt length prefix can neither panic the reader nor make it
+/// allocate more than the file could ever fill.
+struct Cursor<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    /// The next `n` bytes; `what` names the field in the truncation error.
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WwtError> {
+        if self.rest.len() < n {
+            return Err(WwtError::Corrupt(format!("index file truncated at {what}")));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], WwtError> {
+        let bytes = self.take(N, what)?;
+        Ok(bytes.try_into().expect("take returns exactly N bytes"))
+    }
+
+    fn u16(&mut self, what: &str) -> Result<u16, WwtError> {
+        self.array(what).map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, WwtError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, WwtError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// A capacity for `n` records of at least `record_bytes` bytes each:
+    /// never more records than the remaining bytes could hold.
+    fn capacity(&self, n: usize, record_bytes: usize) -> usize {
+        n.min(self.rest.len() / record_bytes)
+    }
 }
 
 fn parse_bytes(data: &[u8]) -> Result<FrozenShard, WwtError> {
-    let mut buf = data;
-    let check = |ok: bool, what: &str| -> Result<(), WwtError> {
-        if ok {
-            Ok(())
-        } else {
-            Err(WwtError::Corrupt(format!("index file truncated at {what}")))
-        }
-    };
-    check(buf.remaining() >= 12, "magic")?;
-    if buf.get_u64_le() != MAGIC {
+    let mut buf = Cursor { rest: data };
+    if buf.u64("magic")? != MAGIC {
         return Err(WwtError::Corrupt("bad index magic".into()));
     }
-    let n_docs = buf.get_u32_le() as usize;
-    let mut doc_tables = Vec::with_capacity(n_docs);
-    let mut field_lens = Vec::with_capacity(n_docs);
+    let n_docs = buf.u32("doc count")? as usize;
+    // A doc row is a table id plus three field lengths.
+    let mut doc_tables = Vec::with_capacity(buf.capacity(n_docs, 16));
+    let mut field_lens = Vec::with_capacity(buf.capacity(n_docs, 16));
     for _ in 0..n_docs {
-        check(buf.remaining() >= 16, "doc row")?;
-        doc_tables.push(TableId(buf.get_u32_le()));
+        doc_tables.push(TableId(buf.u32("doc row")?));
         let mut lens = [0u32; 3];
         for l in &mut lens {
-            *l = buf.get_u32_le();
+            *l = buf.u32("doc row")?;
         }
         field_lens.push(lens);
     }
-    check(buf.remaining() >= 4, "term count")?;
-    let n_terms = buf.get_u32_le() as usize;
-    let mut entries: Vec<(String, Postings)> = Vec::with_capacity(n_terms.min(1 << 20));
+    let n_terms = buf.u32("term count")? as usize;
+    // A term is at least its length word plus one count word per field.
+    let mut entries: Vec<(String, Postings)> =
+        Vec::with_capacity(buf.capacity(n_terms, 2 + 4 * Field::ALL.len()));
     for _ in 0..n_terms {
-        check(buf.remaining() >= 2, "term len")?;
-        let len = buf.get_u16_le() as usize;
-        check(buf.remaining() >= len, "term bytes")?;
-        let mut tb = vec![0u8; len];
-        buf.copy_to_slice(&mut tb);
-        let term = String::from_utf8(tb).map_err(|_| WwtError::Corrupt("non-utf8 term".into()))?;
+        let len = buf.u16("term len")? as usize;
+        let term = String::from_utf8(buf.take(len, "term bytes")?.to_vec())
+            .map_err(|_| WwtError::Corrupt("non-utf8 term".into()))?;
         let mut post = Postings::default();
         for f in Field::ALL {
-            check(buf.remaining() >= 4, "posting len")?;
-            let n = buf.get_u32_le() as usize;
-            check(buf.remaining() >= n * 8, "posting list")?;
+            let n = buf.u32("posting len")? as usize;
             let list = &mut post.per_field[f.dense()];
-            list.reserve(n);
+            list.reserve(buf.capacity(n, 8));
             for _ in 0..n {
-                let d = buf.get_u32_le();
-                let tf = buf.get_u32_le();
+                let d = buf.u32("posting list")?;
+                let tf = buf.u32("posting list")?;
                 if d as usize >= n_docs {
                     return Err(WwtError::Corrupt("doc id out of range".into()));
                 }
@@ -696,17 +727,28 @@ mod tests {
             other => panic!("expected Corrupt for truncation, got {other:?}"),
         }
 
-        // Bit-flipped payload (the doc-count word): the reader
-        // desynchronizes → typed Corrupt, same path context.
+        // Bit-flipped length words — the doc count, the term count and
+        // the first posting-list length: the reader desynchronizes (and
+        // must not allocate for the bogus counts) → typed Corrupt, same
+        // path context.
         save_sharded(&idx, &dir).unwrap();
-        let mut bytes = std::fs::read(&shard1).unwrap();
-        bytes[11] ^= 0xFF; // high byte of n_docs, past the magic
-        std::fs::write(&shard1, &bytes).unwrap();
-        match load_sharded(&dir) {
-            Err(WwtError::Corrupt(m)) => {
-                assert!(m.contains(&shard1_name), "message: {m}");
+        let pristine = std::fs::read(&shard1).unwrap();
+        let word = |at: usize| u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
+        let n_docs_at = 8; // past the magic
+        let n_terms_at = n_docs_at + 4 + 16 * word(n_docs_at) as usize;
+        let first_term_len =
+            u16::from_le_bytes([pristine[n_terms_at + 4], pristine[n_terms_at + 5]]) as usize;
+        let posting_len_at = n_terms_at + 4 + 2 + first_term_len;
+        for at in [n_docs_at, n_terms_at, posting_len_at] {
+            let mut bytes = pristine.clone();
+            bytes[at + 3] ^= 0xFF; // the word's high byte
+            std::fs::write(&shard1, &bytes).unwrap();
+            match load_sharded(&dir) {
+                Err(WwtError::Corrupt(m)) => {
+                    assert!(m.contains(&shard1_name), "message: {m}");
+                }
+                other => panic!("expected Corrupt for bit flip at {at}, got {other:?}"),
             }
-            other => panic!("expected Corrupt for bit flip, got {other:?}"),
         }
 
         // Missing shard file: typed Io error still naming the path.

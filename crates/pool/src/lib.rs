@@ -17,15 +17,17 @@
 //!   shared cursor as the workers, so a batch always makes progress even
 //!   when every worker is busy — nested `run` calls (a pooled unit that
 //!   itself fans out) cannot deadlock;
-//! * unit panics are caught per-unit and the first one is re-raised on
-//!   the caller **after** the batch fully settles, so a panicking unit
-//!   can never leave a worker touching freed caller state.
+//! * unit panics are caught per unit, so a panicking unit can never
+//!   leave a worker touching freed caller state: [`WorkerPool::run`]
+//!   (and [`try_fan_out`]) return them as [`UnitPanic`]s, and
+//!   [`fan_out`] re-raises the first one **after** the batch fully
+//!   settles.
 //!
 //! ## Soundness of the borrowed closure
 //!
 //! `run` executes a caller-stack closure on pool threads without scoped
 //! threads. The lifetime erasure is sound because `run` does not return
-//! (or unwind) until every helper job it enqueued is **provably done
+//! until every helper job it enqueued is **provably done
 //! with the closure**: jobs still queued are removed under the queue
 //! lock (workers bump a per-batch `started` counter under that same lock
 //! when they claim a job, so after removal the started count is final),
@@ -38,22 +40,28 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// A caught panic from one fan-out unit: which unit, and the panic
-/// message (extracted from the payload — `&str` / `String` payloads are
-/// kept verbatim, anything else is summarized). Returned by
-/// [`WorkerPool::try_run`] / [`try_fan_out`] so callers can isolate a
-/// crashing unit instead of dying with it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A caught panic from one fan-out unit: which unit, and the payload it
+/// panicked with. Returned by [`WorkerPool::run`] / [`try_fan_out`] so
+/// callers can isolate a crashing unit instead of dying with it;
+/// [`fan_out`] re-raises the payload instead.
+#[derive(Debug)]
 pub struct UnitPanic {
     /// Input index of the unit that panicked.
     pub unit: usize,
-    /// The panic message.
-    pub message: String,
+    /// The payload the unit panicked with, for re-raising unchanged.
+    pub payload: Box<dyn std::any::Any + Send>,
+}
+
+impl UnitPanic {
+    /// The panic message ([`panic_message`] of the payload).
+    pub fn message(&self) -> String {
+        panic_message(self.payload.as_ref())
+    }
 }
 
 impl std::fmt::Display for UnitPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unit {} panicked: {}", self.unit, self.message)
+        write!(f, "unit {} panicked: {}", self.unit, self.message())
     }
 }
 
@@ -150,37 +158,36 @@ impl WorkerPool {
     /// Runs `f(0..n)` across at most `max_threads` concurrent executors
     /// (the caller plus pool workers) and returns the results in input
     /// order. `max_threads <= 1` runs serially on the caller with no
-    /// queue traffic. If any unit panics, the first panic is re-raised
-    /// on the caller after the whole batch settles.
-    pub fn run<R, F>(&self, n: usize, max_threads: usize, f: F) -> Vec<R>
+    /// queue traffic. A panicking unit is **isolated**: every unit always
+    /// runs, and `result[i]` is `Err(UnitPanic)` for exactly the units
+    /// that panicked — on the serial path as on the pooled one.
+    pub fn run<R, F>(&self, n: usize, max_threads: usize, f: F) -> Vec<Result<R, UnitPanic>>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
+        let unit = |i: usize| {
+            catch_unwind(AssertUnwindSafe(|| f(i)))
+                .map_err(|payload| UnitPanic { unit: i, payload })
+        };
         if n == 0 {
             return Vec::new();
         }
         if max_threads <= 1 || n == 1 {
-            return (0..n).map(f).collect();
+            return (0..n).map(unit).collect();
         }
 
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let results: Vec<Mutex<Option<Result<R, UnitPanic>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
-        let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+        // The per-unit closure never unwinds (the catch is inside), so a
+        // helper always reaches its `exited` increment.
         let drain = || loop {
             let i = cursor.fetch_add(1, Ordering::SeqCst);
             if i >= n {
                 return;
             }
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Ok(r) => *results[i].lock().unwrap() = Some(r),
-                Err(payload) => {
-                    let mut slot = first_panic.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-            }
+            *results[i].lock().unwrap() = Some(unit(i));
         };
 
         // The caller is one executor; enqueue the rest as helper jobs.
@@ -190,7 +197,7 @@ impl WorkerPool {
         let work: &(dyn Fn() + Sync) = &drain;
         // SAFETY: the settle protocol below guarantees no pool thread
         // holds (or will ever again call) this reference once `run`
-        // returns or unwinds; see the module docs.
+        // returns; see the module docs.
         let work =
             unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(work) };
         let batch = Arc::new(Batch {
@@ -215,90 +222,6 @@ impl WorkerPool {
         // Settle: purge still-queued helper jobs (claims bump `started`
         // under this same lock, so after the purge `started` is final),
         // then wait out every claimed helper.
-        {
-            let mut queue = self.state.queue.lock().unwrap();
-            queue.retain(|queued| !Arc::ptr_eq(queued, &batch));
-        }
-        let started = batch.started.load(Ordering::SeqCst);
-        let mut exited = batch.exited.lock().unwrap();
-        while *exited < started {
-            exited = batch.settled.wait(exited).unwrap();
-        }
-        drop(exited);
-
-        if let Some(payload) = first_panic.lock().unwrap().take() {
-            resume_unwind(payload);
-        }
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every unit index is claimed exactly once")
-            })
-            .collect()
-    }
-
-    /// Like [`WorkerPool::run`], but a panicking unit is **isolated**
-    /// instead of re-raised: every unit always runs, and `result[i]` is
-    /// `Err(UnitPanic)` for exactly the units that panicked. This is the
-    /// fail-soft fan-out primitive — the caller decides per unit whether
-    /// to degrade, retry, or surface the failure. Unlike `run`'s serial
-    /// path, the serial path here also catches per-unit panics, so the
-    /// two paths have identical failure semantics.
-    pub fn try_run<R, F>(&self, n: usize, max_threads: usize, f: F) -> Vec<Result<R, UnitPanic>>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let unit = |i: usize| {
-            catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| UnitPanic {
-                unit: i,
-                message: panic_message(payload.as_ref()),
-            })
-        };
-        if n == 0 {
-            return Vec::new();
-        }
-        if max_threads <= 1 || n == 1 {
-            return (0..n).map(unit).collect();
-        }
-
-        let results: Vec<Mutex<Option<Result<R, UnitPanic>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        // The per-unit closure never unwinds (the catch is inside), so
-        // the drain loop needs no panic slot of its own.
-        let drain = || loop {
-            let i = cursor.fetch_add(1, Ordering::SeqCst);
-            if i >= n {
-                return;
-            }
-            *results[i].lock().unwrap() = Some(unit(i));
-        };
-
-        let helpers = (max_threads.min(n) - 1).min(self.threads);
-        let work: &(dyn Fn() + Sync) = &drain;
-        // SAFETY: identical settle protocol to `run` — no pool thread
-        // holds this reference once we return; see the module docs.
-        let work =
-            unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(work) };
-        let batch = Arc::new(Batch {
-            work,
-            started: AtomicUsize::new(0),
-            exited: Mutex::new(0),
-            settled: Condvar::new(),
-        });
-        {
-            let mut queue = self.state.queue.lock().unwrap();
-            for _ in 0..helpers {
-                queue.push_back(Arc::clone(&batch));
-            }
-        }
-        self.state.task_ready.notify_all();
-
-        drain();
-
         {
             let mut queue = self.state.queue.lock().unwrap();
             queue.retain(|queued| !Arc::ptr_eq(queued, &batch));
@@ -359,23 +282,22 @@ fn worker_loop(state: &PoolState) {
 /// Runs `f(i)` for `i in 0..n` across up to `threads` concurrent
 /// executors of the [`WorkerPool::global`] pool (the calling thread
 /// included) and returns the results in input order. `threads <= 1`
-/// runs serially on the caller. Drop-in for the old scoped-thread
-/// `fan_out`: same signature, same ordering, same panic behavior — but
-/// the workers (and their `thread_local!` state) persist across calls.
+/// runs serially on the caller. If any unit panics, the first panicking
+/// unit (in input order) is re-raised on the caller with its original
+/// payload, after the whole batch has settled. The workers (and their
+/// `thread_local!` state) persist across calls.
 pub fn fan_out<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    WorkerPool::global().run(n, threads, f)
+    WorkerPool::global()
+        .run(n, threads, f)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| resume_unwind(p.payload)))
+        .collect()
 }
 
-/// [`fan_out`], but each unit's wall-clock duration is measured on the
-/// executor that ran it and returned alongside the results (both in
-/// input order). This is the span-aware building block behind trace
-/// child spans for scatter-gather probes and pooled column-map batches
-/// — callers that don't need per-unit timings should keep using
-/// [`fan_out`], which reads no clocks.
 /// [`fan_out`], but panic-isolating: `result[i]` is `Err(UnitPanic)` for
 /// exactly the units that panicked, and every unit always runs. Use this
 /// wherever one crashing unit must not take the whole batch (or the
@@ -385,20 +307,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    WorkerPool::global().try_run(n, threads, f)
-}
-
-pub fn fan_out_timed<R, F>(n: usize, threads: usize, f: F) -> (Vec<R>, Vec<std::time::Duration>)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let timed = WorkerPool::global().run(n, threads, |i| {
-        let t0 = std::time::Instant::now();
-        let r = f(i);
-        (r, t0.elapsed())
-    });
-    timed.into_iter().unzip()
+    WorkerPool::global().run(n, threads, f)
 }
 
 #[cfg(test)]
@@ -462,21 +371,26 @@ mod tests {
 
     #[test]
     fn panics_propagate_after_the_batch_settles() {
-        let ran = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            fan_out(12, 4, |i| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                if i == 5 {
-                    panic!("unit 5 exploded");
-                }
-                i
-            })
-        }));
-        assert!(result.is_err(), "panic must surface to the caller");
-        // Every unit was claimed (the cursor never skips), and the pool
-        // stays usable afterwards.
-        assert_eq!(ran.load(Ordering::SeqCst), 12);
-        assert_eq!(fan_out(3, 4, |i| i), vec![0, 1, 2]);
+        for threads in [1, 4] {
+            let ran = AtomicUsize::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                fan_out(12, threads, |i| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if i == 5 || i == 9 {
+                        panic!("unit {i} exploded");
+                    }
+                    i
+                })
+            }));
+            // The first panicking unit in input order is re-raised with
+            // its own payload, whichever unit panicked first in time.
+            let payload = result.expect_err("panic must surface to the caller");
+            assert_eq!(panic_message(payload.as_ref()), "unit 5 exploded");
+            // Every unit was claimed (the cursor never skips), and the
+            // pool stays usable afterwards.
+            assert_eq!(ran.load(Ordering::SeqCst), 12, "threads={threads}");
+            assert_eq!(fan_out(3, threads, |i| i), vec![0, 1, 2]);
+        }
     }
 
     #[test]
@@ -493,9 +407,9 @@ mod tests {
                 if i % 5 == 2 {
                     let err = slot.as_ref().unwrap_err();
                     assert_eq!(err.unit, i);
-                    assert!(err.message.contains("exploded"), "got {:?}", err.message);
+                    assert!(err.message().contains("exploded"), "got {err}");
                 } else {
-                    assert_eq!(*slot, Ok(i * 10));
+                    assert_eq!(slot.as_ref().ok(), Some(&(i * 10)));
                 }
             }
         }
@@ -524,7 +438,7 @@ mod tests {
         assert_eq!(panic_message(boxed.as_ref()), "non-string panic payload");
         let p = UnitPanic {
             unit: 7,
-            message: "boom".into(),
+            payload: Box::new("boom"),
         };
         assert_eq!(p.to_string(), "unit 7 panicked: boom");
     }
@@ -533,26 +447,13 @@ mod tests {
     fn private_pool_drops_cleanly() {
         let pool = WorkerPool::new(3);
         assert_eq!(pool.threads(), 3);
-        assert_eq!(
-            pool.run(9, 3, |i| i * i),
-            (0..9).map(|i| i * i).collect::<Vec<_>>()
-        );
+        let out: Vec<usize> = pool
+            .run(9, 3, |i| i * i)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<_>>());
         drop(pool); // joins its workers
-    }
-
-    #[test]
-    fn timed_fan_out_matches_and_measures_every_unit() {
-        for threads in [1, 4] {
-            let (out, times) = fan_out_timed(9, threads, |i| {
-                if i == 3 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                i * 2
-            });
-            assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
-            assert_eq!(times.len(), 9);
-            assert!(times[3] >= std::time::Duration::from_millis(2));
-        }
     }
 
     #[test]

@@ -148,8 +148,10 @@ pub struct ServiceStats {
     /// Tables the `early_exit` request knob excluded from edge
     /// construction, summed over every engine run.
     pub map_pruned_tables: u64,
-    /// Pipeline panics caught at the service boundary and converted to
-    /// [`WwtError::Internal`] (HTTP 500) instead of killing a worker.
+    /// Queries that failed with [`WwtError::Internal`] (HTTP 500): a
+    /// pipeline panic — isolated in an engine shard worker, or caught at
+    /// the service boundary — converted to a typed error instead of
+    /// killing a worker.
     pub internal_errors: u64,
     /// Fail-soft responses served with `degraded: true` — partial
     /// answers that survived a shard failure, panic or deadline squeeze.
@@ -662,14 +664,6 @@ impl TableSearchService {
             trace.note("cache", "bypass (explain)");
             trace.note("generation", snapshot.generation.to_string());
             let result = self.run_isolated(|| snapshot.engine.answer_traced(request, &trace));
-            if matches!(result, Err(WwtError::DeadlineExceeded(_))) {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Ok(response) = &result {
-                if response.diagnostics.degraded {
-                    self.degraded_queries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
             return match result {
                 Ok(response) => {
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -762,45 +756,51 @@ impl TableSearchService {
         self.cache.as_ref().and_then(|cache| cache.get(key))
     }
 
-    /// Runs one engine call behind a panic barrier. A pipeline panic
-    /// (a poisoned shard worker, an injected `probe.shard=panic`, a
-    /// plain bug) becomes [`WwtError::Internal`] instead of unwinding
-    /// into the serving stack — so a singleflight leader still closes
-    /// its flight with an explicit failure and an HTTP worker answers
-    /// 500 instead of dying. Every caught panic ticks
-    /// [`ServiceStats::internal_errors`]; the error text carries the
-    /// panic message so `/flights` anomalies stay attributable.
+    /// Runs one engine call behind a panic barrier and ticks the
+    /// outcome counters. A pipeline panic that reaches this frame (an
+    /// injected `map.batch=panic`, a plain bug) becomes
+    /// [`WwtError::Internal`] instead of unwinding into the serving stack
+    /// — so a singleflight leader still closes its flight with an
+    /// explicit failure and an HTTP worker answers 500 instead of dying;
+    /// the error text carries the panic message so `/flights` anomalies
+    /// stay attributable. Every `Internal` result — such a caught panic,
+    /// or a shard-worker panic the engine already isolated — ticks
+    /// [`ServiceStats::internal_errors`].
     fn run_isolated(
         &self,
         f: impl FnOnce() -> Result<QueryResponse, WwtError>,
     ) -> Result<QueryResponse, WwtError> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            Ok(result) => result,
-            Err(payload) => {
-                self.internal_errors.fetch_add(1, Ordering::Relaxed);
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
                 Err(WwtError::Internal(format!(
                     "query pipeline panicked: {}",
                     wwt_pool::panic_message(payload.as_ref())
                 )))
+            });
+        match &result {
+            Ok(response) if response.diagnostics.degraded => {
+                self.degraded_queries.fetch_add(1, Ordering::Relaxed);
             }
+            Err(WwtError::DeadlineExceeded(_)) => {
+                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(WwtError::Internal(_)) => {
+                self.internal_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
         }
+        result
     }
 
-    /// One engine execution against a pinned snapshot, with the
-    /// deadline-abort counter maintained and panics isolated.
+    /// One engine execution against a pinned snapshot, with the outcome
+    /// and mapper counters maintained and panics isolated.
     fn execute(
         &self,
         snapshot: &EngineSnapshot,
         request: &QueryRequest,
     ) -> Result<QueryResponse, WwtError> {
         let result = self.run_isolated(|| snapshot.engine.answer(request));
-        if matches!(result, Err(WwtError::DeadlineExceeded(_))) {
-            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        }
         if let Ok(response) = &result {
-            if response.diagnostics.degraded {
-                self.degraded_queries.fetch_add(1, Ordering::Relaxed);
-            }
             let ms = response.diagnostics.map_stats;
             self.map_edge_pairs_scored
                 .fetch_add(ms.edge_pairs_scored, Ordering::Relaxed);

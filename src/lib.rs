@@ -478,7 +478,8 @@
 //! that proves it. Three layers compose:
 //!
 //! * **Panic isolation** — a panic anywhere in the query pipeline is
-//!   caught at the service boundary and converted to
+//!   caught (in the engine for shard-probe workers, at the service
+//!   boundary otherwise) and converted to
 //!   [`model::WwtError::Internal`] (HTTP **500** with the request id):
 //!   no worker dies, no singleflight follower hangs on the abandoned
 //!   flight, nothing is cached, and the failure is counted

@@ -96,7 +96,7 @@ fn all_inference_algorithms_satisfy_constraints() {
 fn probe_statistics_reasonable() {
     let (bound, specs) = bound_for(&["country | gdp", "movies | gross"]);
     for spec in &specs {
-        let retrieval = bound.engine.retrieve(&spec.query);
+        let retrieval = bound.engine.retrieve(&spec.query).unwrap();
         assert!(
             !retrieval.stage1.is_empty(),
             "stage-1 probe must find candidates"
