@@ -23,7 +23,7 @@ use wwt_core::{
 use wwt_html::extract_tables;
 use wwt_index::{
     DocSets, JournalRecord, LiveIndex, LiveOp, SearchHit, ShardedIndex, ShardedIndexBuilder,
-    TableIndex, TableStore,
+    TableStore,
 };
 use wwt_model::{Query, TableId, WebTable, WwtError};
 use wwt_obs::{SpanRecord, Trace};
@@ -296,7 +296,7 @@ impl Engine {
             policy: FailSoft::off(),
         };
         self.retrieve_with(query, &ctx)
-            .map(|(retrieval, _)| retrieval)
+            .map(|(retrieval, _, _)| retrieval)
     }
 
     /// One ranked index probe, scattered across the shards on the engine
@@ -412,14 +412,14 @@ impl Engine {
         Ok((merge_shard_hits(lists, k, &merge_deadline)?, shard_times))
     }
 
-    /// Retrieval plus the stage-1 pre-mapping it computed along the way
-    /// (reusable as the final mapping when the second probe adds
-    /// nothing).
+    /// Retrieval plus the timings of its probe/read/pre-map stages and
+    /// the stage-1 pre-mapping it computed along the way (reusable as the
+    /// final mapping when the second probe adds nothing).
     fn retrieve_with(
         &self,
         query: &Query,
         ctx: &QueryCtx<'_>,
-    ) -> Result<(Retrieval, MappingResult), WwtError> {
+    ) -> Result<(Retrieval, StageTimings, MappingResult), WwtError> {
         let (cfg, trace) = (ctx.cfg, ctx.trace);
         let mut timing = StageTimings::default();
 
@@ -573,8 +573,8 @@ impl Engine {
                 stage1,
                 stage2,
                 probe2_used,
-                timing,
             },
+            timing,
             pre,
         ))
     }
@@ -652,8 +652,7 @@ impl Engine {
         max_rows: Option<usize>,
     ) -> Result<QueryResponse, WwtError> {
         let (cfg, trace, policy) = (ctx.cfg, ctx.trace, &ctx.policy);
-        let (retrieval, premap) = self.retrieve_with(query, ctx)?;
-        let mut timing = retrieval.timing.clone();
+        let (retrieval, mut timing, premap) = self.retrieve_with(query, ctx)?;
         let mut candidates = retrieval.candidates();
 
         // Stage boundary: candidate tables are in hand; mapping is the
@@ -975,19 +974,9 @@ impl Engine {
         }
     }
 
-    /// Assembles an engine from already-built single-index parts (e.g. a
-    /// legacy persisted layout). Every table the index knows must be
-    /// present in the store — a missing table would silently vanish from
-    /// answers, so the mismatch is rejected up front.
-    pub fn from_parts(
-        index: TableIndex,
-        store: TableStore,
-        config: WwtConfig,
-    ) -> Result<Self, WwtError> {
-        Self::from_sharded_parts(ShardedIndex::single(index), store, config)
-    }
-
-    /// [`Engine::from_parts`] for a sharded index.
+    /// Assembles an engine from already-built parts. Every table the
+    /// index knows must be present in the store — a missing table would
+    /// silently vanish from answers, so the mismatch is rejected up front.
     pub fn from_sharded_parts(
         index: ShardedIndex,
         store: TableStore,
@@ -1272,16 +1261,12 @@ impl Engine {
 
     /// Loads an engine persisted by [`Engine::save_to_dir`], with the
     /// given online configuration (the persisted files carry no config).
-    /// Directories written before the sharded layout existed — a bare
-    /// `index.idx` with no manifest — still load, as a single shard.
+    /// The index is read by [`wwt_index::persist::load_sharded`], which
+    /// verifies the manifest's term dictionary on every load; a directory
+    /// without a `manifest.json` fails with an io error naming it.
     pub fn load_from_dir(dir: &Path, config: WwtConfig) -> Result<Self, WwtError> {
         let store = TableStore::load(&dir.join("tables.jsonl"))?;
-        let index = if dir.join(wwt_index::persist::MANIFEST_FILE).exists() {
-            wwt_index::persist::load_sharded(dir)?
-        } else {
-            // Pre-manifest layout: one unsharded index file.
-            ShardedIndex::single(wwt_index::persist::load(&dir.join("index.idx"))?)
-        };
+        let index = wwt_index::persist::load_sharded(dir)?;
         Self::from_sharded_parts(index, store, config)
     }
 }
@@ -1616,26 +1601,28 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_index_layout_still_loads() {
-        // A pre-manifest directory: bare `index.idx` + `tables.jsonl`.
-        let engine = {
-            let docs = [currency_page(0, &[("India", "Rupee"), ("Japan", "Yen")])];
-            let mut b = Engine::builder();
-            b.shards(1);
-            b.add_documents(docs.iter().map(String::as_str));
-            b.build()
-        };
-        let dir = std::env::temp_dir().join(format!("wwt_engine_legacy_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        wwt_index::persist::save(engine.index().shard(0), &dir.join("index.idx")).unwrap();
-        engine.store().save(&dir.join("tables.jsonl")).unwrap();
-        let restored = Engine::load_from_dir(&dir, engine.config().clone()).unwrap();
-        assert_eq!(restored.n_shards(), 1);
-        let q = Query::parse("country | currency").unwrap();
-        assert_eq!(
-            restored.answer_query(&q).table,
-            engine.answer_query(&q).table
-        );
+    fn directory_without_manifest_is_refused_naming_it() {
+        // A bare `index.idx` + `tables.jsonl`, the layout written before
+        // the manifest existed, is not an index directory.
+        let engine = build_engine();
+        let dir = std::env::temp_dir().join(format!("wwt_engine_bare_{}", std::process::id()));
+        engine.save_to_dir(&dir).unwrap();
+        std::fs::rename(
+            dir.join(wwt_index::persist::shard_file(0)),
+            dir.join("index.idx"),
+        )
+        .unwrap();
+        std::fs::remove_file(dir.join(wwt_index::persist::MANIFEST_FILE)).unwrap();
+        match Engine::load_from_dir(&dir, engine.config().clone()) {
+            Err(WwtError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
+                assert!(
+                    e.to_string().contains(wwt_index::persist::MANIFEST_FILE),
+                    "message: {e}"
+                );
+            }
+            other => panic!("expected Io naming the manifest, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

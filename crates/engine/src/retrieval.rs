@@ -1,7 +1,6 @@
-//! The named result of two-stage candidate retrieval (§2.2.1), replacing
-//! the former `(Vec<TableId>, Vec<TableId>, bool, StageTimings)` tuple.
+//! The named result of two-stage candidate retrieval (§2.2.1). Its stage
+//! timings live once per response, in `QueryDiagnostics::timing`.
 
-use crate::timing::StageTimings;
 use wwt_model::TableId;
 
 /// Outcome of the two-stage index probe for one query.
@@ -15,8 +14,6 @@ pub struct Retrieval {
     /// Whether the second probe fired (some stage-1 table cleared the
     /// high-relevance bar).
     pub probe2_used: bool,
-    /// Wall-clock timing of the probe/read/pre-map stages so far.
-    pub timing: StageTimings,
 }
 
 impl Retrieval {
@@ -51,7 +48,6 @@ mod tests {
             stage1: vec![TableId(3), TableId(1)],
             stage2: vec![TableId(9)],
             probe2_used: true,
-            timing: StageTimings::default(),
         };
         assert_eq!(r.candidates(), vec![TableId(3), TableId(1), TableId(9)]);
         assert_eq!(r.len(), 3);

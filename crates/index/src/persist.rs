@@ -1,7 +1,15 @@
 //! Binary persistence of the index ("stored on disk" — paper §2.1).
 //!
-//! Shard-file format (little-endian) — unchanged since v1, so files
-//! written before term interning still load:
+//! An index directory holds exactly one layout: a `manifest.json`
+//! (version [`MANIFEST_VERSION`]) naming the shard count and carrying the
+//! **global term dictionary's count and FNV-1a checksum**, plus one
+//! `shard-NNNN.idx` file per shard. The dictionary — the id space every
+//! shard's postings are keyed by — is rebuilt on load as the sorted union
+//! of the shard vocabularies (exactly what the freeze would have
+//! produced) and verified against the digest; a directory whose manifest
+//! has any other version is rejected as corrupt.
+//!
+//! Shard-file format (little-endian):
 //!
 //! ```text
 //! magic  u64  = 0x5757_5449_4458_0001            ("WWTIDX" v1)
@@ -12,18 +20,9 @@
 //!           per field: n_postings u32, then (doc u32, tf u32)*
 //! ```
 //!
-//! Terms are written in sorted order (the dictionary's id order), and the
-//! sharded layout's `manifest.json` (version 3) carries the **global term
-//! dictionary's count and FNV-1a checksum** — the id space every shard's
-//! postings are keyed by is rebuilt as the sorted union of the shard
-//! vocabularies (exactly what the freeze would have produced) and
-//! verified against the digest. Version-2 manifests (which persisted the
-//! full vocabulary as JSON) verify against their stored terms, and
-//! version-1 manifests (pre-interning) rebuild unverified; both still
-//! load byte-identically.
-//!
-//! Corpus statistics are rebuilt from the postings at load time (df of a
-//! term = number of distinct docs across fields), so they are not stored.
+//! Terms are written in sorted order (the dictionary's id order). Corpus
+//! statistics are rebuilt from the postings at load time (df of a term =
+//! number of distinct docs across fields), so they are not stored.
 
 use crate::builder::FrozenShard;
 use crate::field::Field;
@@ -198,18 +197,12 @@ pub fn from_bytes(data: &[u8]) -> Result<TableIndex, WwtError> {
 /// File name of the sharded-layout manifest inside an index directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
-/// Version tag written into the manifest; bumped on incompatible layout
-/// changes so an old binary fails loudly instead of misreading. Version 2
-/// added the persisted term dictionary; version 3 replaced that
-/// full-vocabulary JSON array (O(vocabulary) manifest bytes — the PR 5
-/// known defect) with a term **count + checksum**: the dictionary is
-/// always rebuilt as the sorted union of the shard vocabularies and
-/// verified against the digest. Version-1 and version-2 directories
-/// still load byte-identically.
+/// Version tag written into the manifest, and the only one
+/// [`load_sharded`] reads; bumped on incompatible layout changes so a
+/// binary fails loudly instead of misreading. The version-3 manifest
+/// carries the term dictionary's **count + checksum**, never the
+/// vocabulary itself, so its size does not grow with the corpus.
 pub const MANIFEST_VERSION: u64 = 3;
-
-/// Oldest manifest version this build can still read.
-pub const MANIFEST_MIN_VERSION: u64 = 1;
 
 /// Order-sensitive FNV-1a digest of a term dictionary: each term is fed
 /// length-prefixed so `["ab","c"]` and `["a","bc"]` cannot collide. The
@@ -253,7 +246,7 @@ fn in_file(e: WwtError, path: &Path) -> WwtError {
 
 /// Persists a sharded index into `dir` (created if needed): a versioned
 /// `manifest.json` naming the layout and carrying the term dictionary's
-/// count + checksum, plus one [`save`]-format `.idx` file per shard.
+/// count + checksum, plus one [`to_bytes`]-format `.idx` file per shard.
 /// [`load_sharded`] reads it back.
 pub fn save_sharded(index: &crate::ShardedIndex, dir: &Path) -> Result<(), WwtError> {
     wwt_chaos::io_failpoint(wwt_chaos::PERSIST_SAVE)?;
@@ -276,13 +269,12 @@ pub fn save_sharded(index: &crate::ShardedIndex, dir: &Path) -> Result<(), WwtEr
 }
 
 /// Loads a sharded index persisted by [`save_sharded`]. Per-shard
-/// statistics (rebuilt from the postings, as in [`load`]) are merged
-/// into one global table shared by every shard, so the reloaded index
-/// scores bit-identically to the one that was saved. The term dictionary
-/// is always rebuilt as the sorted union of shard vocabularies and then
-/// verified against the manifest: count + checksum for version 3, the
-/// stored vocabulary for version 2, nothing for version 1 — the same
-/// ids every way.
+/// statistics (rebuilt from the postings) are merged into one global
+/// table shared by every shard, so the reloaded index scores
+/// bit-identically to the one that was saved. The term dictionary is
+/// rebuilt as the sorted union of shard vocabularies and verified
+/// against the manifest's count + checksum on every load. A manifest
+/// of any version but [`MANIFEST_VERSION`] is [`WwtError::Corrupt`].
 pub fn load_sharded(dir: &Path) -> Result<crate::ShardedIndex, WwtError> {
     wwt_chaos::io_failpoint(wwt_chaos::PERSIST_LOAD)?;
     let manifest_path = dir.join(MANIFEST_FILE);
@@ -298,10 +290,9 @@ pub fn load_sharded(dir: &Path) -> Result<crate::ShardedIndex, WwtError> {
         .get("version")
         .and_then(wwt_json::Json::as_u64)
         .ok_or_else(|| WwtError::Corrupt("index manifest missing \"version\"".into()))?;
-    if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
+    if version != MANIFEST_VERSION {
         return Err(WwtError::Corrupt(format!(
-            "index manifest version {version} unsupported \
-             (expected {MANIFEST_MIN_VERSION}..={MANIFEST_VERSION})"
+            "index manifest version {version} unsupported (expected {MANIFEST_VERSION})"
         )));
     }
     let n_shards = manifest
@@ -310,6 +301,15 @@ pub fn load_sharded(dir: &Path) -> Result<crate::ShardedIndex, WwtError> {
         .filter(|&n| n >= 1)
         .ok_or_else(|| WwtError::Corrupt("index manifest missing \"shards\" >= 1".into()))?
         as usize;
+    let count = manifest
+        .get("term_count")
+        .and_then(wwt_json::Json::as_u64)
+        .ok_or_else(|| WwtError::Corrupt("index manifest missing \"term_count\"".into()))?;
+    let checksum = manifest
+        .get("term_checksum")
+        .and_then(wwt_json::Json::as_str)
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| WwtError::Corrupt("index manifest missing hex \"term_checksum\"".into()))?;
     let frozen: Vec<FrozenShard> = (0..n_shards)
         .map(|s| {
             let path = dir.join(shard_file(s));
@@ -325,67 +325,22 @@ pub fn load_sharded(dir: &Path) -> Result<crate::ShardedIndex, WwtError> {
         })
         .collect::<Result<_, _>>()?;
     let index = crate::builder::assemble_sharded(frozen);
-    if version == 2 {
-        // The v2 manifest persisted the full dictionary as JSON; it is
-        // the layout's id-space contract, so the rebuilt (sorted-union)
-        // dictionary must reproduce it exactly.
-        let terms = manifest
-            .get("terms")
-            .and_then(wwt_json::Json::as_arr)
-            .ok_or_else(|| WwtError::Corrupt("v2 index manifest missing \"terms\"".into()))?;
-        let terms: Vec<&str> = terms
-            .iter()
-            .map(|t| {
-                t.as_str()
-                    .ok_or_else(|| WwtError::Corrupt("non-string term in manifest".into()))
-            })
-            .collect::<Result<_, _>>()?;
-        let rebuilt = index.dict().terms();
-        if terms.len() != rebuilt.len() || terms.iter().zip(rebuilt).any(|(a, b)| *a != b) {
-            return Err(WwtError::Corrupt(format!(
-                "manifest term dictionary disagrees with the shard vocabularies in {}",
-                dir.display()
-            )));
-        }
-    } else if version >= 3 {
-        // The v3 manifest carries the dictionary's count + checksum
-        // instead of the vocabulary itself: same consistency guarantee,
-        // O(1) manifest bytes.
-        let count = manifest
-            .get("term_count")
-            .and_then(wwt_json::Json::as_u64)
-            .ok_or_else(|| WwtError::Corrupt("v3 index manifest missing \"term_count\"".into()))?;
-        let checksum = manifest
-            .get("term_checksum")
-            .and_then(wwt_json::Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| {
-                WwtError::Corrupt("v3 index manifest missing hex \"term_checksum\"".into())
-            })?;
-        let rebuilt = index.dict().terms();
-        if count != rebuilt.len() as u64 || checksum != term_dictionary_checksum(rebuilt) {
-            return Err(WwtError::Corrupt(format!(
-                "manifest term dictionary disagrees with the shard vocabularies in {}",
-                dir.display()
-            )));
-        }
+    let rebuilt = index.dict().terms();
+    if count != rebuilt.len() as u64 || checksum != term_dictionary_checksum(rebuilt) {
+        return Err(WwtError::Corrupt(format!(
+            "manifest term dictionary disagrees with the shard vocabularies in {}",
+            dir.display()
+        )));
     }
     Ok(index)
 }
 
-/// Writes the index to a file.
-pub fn save(index: &TableIndex, path: &Path) -> Result<(), WwtError> {
+/// Writes one shard's index file.
+fn save(index: &TableIndex, path: &Path) -> Result<(), WwtError> {
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     f.write_all(&to_bytes(index)?)?;
     f.flush()?;
     Ok(())
-}
-
-/// Reads an index written by [`save`].
-pub fn load(path: &Path) -> Result<TableIndex, WwtError> {
-    let mut data = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut data)?;
-    from_bytes(&data)
 }
 
 #[cfg(test)]
@@ -494,18 +449,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn file_roundtrip() {
-        let idx = sample_index();
-        let dir = std::env::temp_dir().join("wwt_index_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("test.idx");
-        save(&idx, &path).unwrap();
-        let restored = load(&path).unwrap();
-        assert_eq!(restored.n_docs(), idx.n_docs());
-        std::fs::remove_file(&path).ok();
-    }
-
     fn sample_sharded() -> crate::ShardedIndex {
         let mut b = crate::ShardedIndexBuilder::new(3);
         for i in 0..12u32 {
@@ -545,66 +488,6 @@ mod tests {
                     y.score.to_bits(),
                     "score drift after reload, probe {probe}"
                 );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_manifest_without_terms_still_loads_identically() {
-        // A PR-4 era directory: same shard files, but a version-1
-        // manifest with no "terms". The dictionary must be rebuilt to the
-        // same ids and answer the same bytes.
-        let idx = sample_sharded();
-        let dir = std::env::temp_dir().join(format!("wwt_sharded_v1_{}", std::process::id()));
-        save_sharded(&idx, &dir).unwrap();
-        std::fs::write(
-            dir.join(MANIFEST_FILE),
-            format!(r#"{{"version":1,"shards":{}}}"#, idx.n_shards()),
-        )
-        .unwrap();
-        let restored = load_sharded(&dir).unwrap();
-        assert_eq!(restored.dict().terms(), idx.dict().terms());
-        for probe in ["common", "header2", "context words"] {
-            let toks = wwt_text::tokenize(probe);
-            let a = idx.search(&toks, 10);
-            let b = restored.search(&toks, 10);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.table, y.table);
-                assert_eq!(x.score.to_bits(), y.score.to_bits());
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v2_manifest_with_full_terms_still_loads_identically() {
-        // A PR-5 era directory: same shard files, but a version-2
-        // manifest persisting the whole vocabulary as JSON. It must keep
-        // loading (and keep being verified against its stored terms).
-        let idx = sample_sharded();
-        let dir = std::env::temp_dir().join(format!("wwt_sharded_v2_{}", std::process::id()));
-        save_sharded(&idx, &dir).unwrap();
-        let manifest = wwt_json::Json::obj([
-            ("version", wwt_json::Json::from(2u64)),
-            ("shards", wwt_json::Json::from(idx.n_shards())),
-            (
-                "terms",
-                wwt_json::Json::arr(idx.dict().terms().iter().map(String::as_str)),
-            ),
-        ]);
-        std::fs::write(dir.join(MANIFEST_FILE), manifest.encode()).unwrap();
-        let restored = load_sharded(&dir).unwrap();
-        assert_eq!(restored.dict().terms(), idx.dict().terms());
-        for probe in ["common", "header2", "context words"] {
-            let toks = wwt_text::tokenize(probe);
-            let a = idx.search(&toks, 10);
-            let b = restored.search(&toks, 10);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.table, y.table);
-                assert_eq!(x.score.to_bits(), y.score.to_bits());
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -655,43 +538,34 @@ mod tests {
     fn sharded_load_rejects_bad_manifests() {
         let dir = std::env::temp_dir().join(format!("wwt_sharded_bad_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        let corrupt = |expect: &str| match load_sharded(&dir) {
+            Err(WwtError::Corrupt(m)) => assert!(m.contains(expect), "message: {m}"),
+            other => panic!("expected Corrupt mentioning {expect:?}, got {other:?}"),
+        };
         // Missing manifest: an io error, not a panic.
         assert!(load_sharded(&dir).is_err());
         // Unsupported version.
         std::fs::write(dir.join(MANIFEST_FILE), r#"{"version":999,"shards":1}"#).unwrap();
-        assert!(matches!(load_sharded(&dir), Err(WwtError::Corrupt(_))));
+        corrupt("version 999 unsupported");
         // Zero shards.
-        std::fs::write(dir.join(MANIFEST_FILE), r#"{"version":2,"shards":0}"#).unwrap();
-        assert!(matches!(load_sharded(&dir), Err(WwtError::Corrupt(_))));
-        // A v2 manifest must carry its dictionary.
-        std::fs::write(dir.join(MANIFEST_FILE), r#"{"version":2,"shards":1}"#).unwrap();
+        std::fs::write(
+            dir.join(MANIFEST_FILE),
+            r#"{"version":3,"shards":0,"term_count":0,"term_checksum":"0"}"#,
+        )
+        .unwrap();
+        corrupt("\"shards\" >= 1");
+        // The manifest must carry count + checksum.
         save(&sample_index(), &dir.join(shard_file(0))).unwrap();
-        assert!(matches!(load_sharded(&dir), Err(WwtError::Corrupt(_))));
-        // An unsorted dictionary is corrupt.
-        std::fs::write(
-            dir.join(MANIFEST_FILE),
-            r#"{"version":2,"shards":1,"terms":["b","a"]}"#,
-        )
-        .unwrap();
-        assert!(matches!(load_sharded(&dir), Err(WwtError::Corrupt(_))));
-        // A dictionary missing a shard's term is corrupt.
-        std::fs::write(
-            dir.join(MANIFEST_FILE),
-            r#"{"version":2,"shards":1,"terms":["common"]}"#,
-        )
-        .unwrap();
-        assert!(matches!(load_sharded(&dir), Err(WwtError::Corrupt(_))));
-        // A v3 manifest must carry count + checksum.
         std::fs::write(dir.join(MANIFEST_FILE), r#"{"version":3,"shards":1}"#).unwrap();
-        assert!(matches!(load_sharded(&dir), Err(WwtError::Corrupt(_))));
-        // A v3 count that disagrees with the shard vocabularies is corrupt.
+        corrupt("term_count");
+        // A count that disagrees with the shard vocabularies is corrupt.
         std::fs::write(
             dir.join(MANIFEST_FILE),
             r#"{"version":3,"shards":1,"term_count":1,"term_checksum":"00000000deadbeef"}"#,
         )
         .unwrap();
-        assert!(matches!(load_sharded(&dir), Err(WwtError::Corrupt(_))));
-        // A v3 checksum that disagrees (right count, wrong digest).
+        corrupt("disagrees");
+        // A checksum that disagrees (right count, wrong digest).
         let idx = sample_index();
         std::fs::write(
             dir.join(MANIFEST_FILE),
@@ -701,10 +575,49 @@ mod tests {
             ),
         )
         .unwrap();
-        assert!(matches!(load_sharded(&dir), Err(WwtError::Corrupt(_))));
-        // Manifest promising more shards than exist on disk.
-        std::fs::write(dir.join(MANIFEST_FILE), r#"{"version":1,"shards":2}"#).unwrap();
-        assert!(load_sharded(&dir).is_err());
+        corrupt("disagrees");
+        // Manifest promising more shards than exist on disk (its
+        // dictionary digest is the one shard's, so only the count lies).
+        std::fs::write(
+            dir.join(MANIFEST_FILE),
+            format!(
+                r#"{{"version":3,"shards":2,"term_count":{},"term_checksum":"{:016x}"}}"#,
+                idx.vocab_size(),
+                term_dictionary_checksum(idx.dict.terms())
+            ),
+        )
+        .unwrap();
+        match load_sharded(&dir) {
+            Err(WwtError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
+                assert!(e.to_string().contains(&shard_file(1)), "message: {e}");
+            }
+            other => panic!("expected Io for the missing shard, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Older manifest versions over valid shard files are refused,
+        // even when their contents would have matched the shards: a v1
+        // manifest (no dictionary at all) and a v2 manifest carrying the
+        // correct full vocabulary.
+        let idx = sample_sharded();
+        save_sharded(&idx, &dir).unwrap();
+        std::fs::write(
+            dir.join(MANIFEST_FILE),
+            format!(r#"{{"version":1,"shards":{}}}"#, idx.n_shards()),
+        )
+        .unwrap();
+        corrupt("version 1 unsupported (expected 3)");
+        let v2 = wwt_json::Json::obj([
+            ("version", wwt_json::Json::from(2u64)),
+            ("shards", wwt_json::Json::from(idx.n_shards())),
+            (
+                "terms",
+                wwt_json::Json::arr(idx.dict().terms().iter().map(String::as_str)),
+            ),
+        ]);
+        std::fs::write(dir.join(MANIFEST_FILE), v2.encode()).unwrap();
+        corrupt("version 2 unsupported (expected 3)");
         std::fs::remove_dir_all(&dir).ok();
     }
 

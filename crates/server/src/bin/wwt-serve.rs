@@ -9,7 +9,8 @@
 //! ```
 //!
 //! The engine comes from the first of: `--index-path DIR` (a directory
-//! persisted by `Engine::save_to_dir` — `index.idx` + `tables.jsonl`),
+//! persisted by `Engine::save_to_dir` — `manifest.json`, one
+//! `shard-NNNN.idx` per shard and `tables.jsonl`),
 //! `--corpus-dir DIR` (raw `.html` documents, offline pipeline from
 //! scratch), or the built-in synthetic corpus (`--scale`/`--queries`).
 //! `--save-index DIR` persists whatever engine was built; `--build-only`

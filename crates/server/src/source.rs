@@ -19,8 +19,9 @@ pub enum EngineSource {
     /// offline pipeline (extract → store → index). Files are read in
     /// lexicographic name order so table ids are deterministic.
     CorpusDir(PathBuf),
-    /// A directory written by [`Engine::save_to_dir`] (`index.idx` +
-    /// `tables.jsonl`); building deserializes instead of re-extracting.
+    /// A directory written by [`Engine::save_to_dir`] (`manifest.json`,
+    /// one `shard-NNNN.idx` per shard and `tables.jsonl`); building
+    /// deserializes instead of re-extracting.
     IndexDir(PathBuf),
 }
 

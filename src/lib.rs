@@ -281,9 +281,11 @@
 //!
 //! Persistence keeps the layout: [`engine::Engine::save_to_dir`] writes
 //! a versioned `manifest.json` plus one `shard-NNNN.idx` per shard
-//! (plus `tables.jsonl`), [`engine::Engine::load_from_dir`] restores the
-//! same shard count — and still reads pre-sharding directories (a bare
-//! `index.idx`) as a single shard. Serving: `wwt-serve --shards N`
+//! (plus `tables.jsonl`), and [`engine::Engine::load_from_dir`] restores
+//! the same shard count, verifying the manifest's term-dictionary
+//! checksum on every load. That is the only layout it reads: a
+//! directory with another manifest version, or none, is refused.
+//! Serving: `wwt-serve --shards N`
 //! partitions the boot build, `POST /admin/reload` rebuilds with the
 //! serving engine's shard count, and the count is reported by
 //! `GET /version` (`"shards"`), `GET /stats` (`"index_shards"`) and the
@@ -389,9 +391,7 @@
 //! same pool batches the per-view potential computations inside the
 //! column mapper and the scatter-gather probe fan-out at query time.
 //! CI runs the same binary in smoke mode
-//! (`WWT_BENCH_SMOKE=1`) and uploads the artifact; `benches/
-//! query_path.rs` carries the criterion version of the same three
-//! measurements.
+//! (`WWT_BENCH_SMOKE=1`) and uploads the artifact.
 //!
 //! ## Per-route concurrency limits
 //!

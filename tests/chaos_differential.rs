@@ -51,7 +51,6 @@ fn requests() -> Vec<QueryRequest> {
 fn canonical_bytes(request: &QueryRequest, response: &wwt::engine::QueryResponse) -> String {
     let mut response = response.clone();
     response.diagnostics.timing = Default::default();
-    response.retrieval.timing = Default::default();
     encode_response(request, &response)
 }
 

@@ -64,7 +64,6 @@ fn canonical_bytes(request: &QueryRequest, engine: &Engine) -> String {
         .answer(request)
         .expect("equivalence requests carry no deadline and valid options");
     response.diagnostics.timing = Default::default();
-    response.retrieval.timing = Default::default();
     if let Some(trace) = response.diagnostics.trace.as_mut() {
         trace.zero_timings();
     }
@@ -297,59 +296,6 @@ fn persisted_layouts_of_both_generations_serve_identical_bytes() {
             );
         }
 
-        // PR-5 era layout: same shard files under a v2 manifest inlining
-        // the full vocabulary.
-        let v2 = wwt::json::Json::obj([
-            ("version", wwt::json::Json::from(2u64)),
-            ("shards", wwt::json::Json::from(shards)),
-            (
-                "terms",
-                wwt::json::Json::arr(fast.index().dict().terms().iter().map(String::as_str)),
-            ),
-        ]);
-        std::fs::write(dir.join("manifest.json"), v2.encode()).unwrap();
-        let v2_manifest = Engine::load_from_dir(&dir, fast.config().clone()).unwrap();
-        for (request, want) in requests.iter().zip(&expected) {
-            assert_eq!(
-                *want,
-                canonical_bytes(request, &v2_manifest),
-                "v2-manifest reload drift at {shards} shard(s)"
-            );
-        }
-
-        // PR-4 era layout: same shard files under a v1 manifest with no
-        // dictionary.
-        std::fs::write(
-            dir.join("manifest.json"),
-            format!(r#"{{"version":1,"shards":{shards}}}"#),
-        )
-        .unwrap();
-        let legacy_manifest = Engine::load_from_dir(&dir, fast.config().clone()).unwrap();
-        for (request, want) in requests.iter().zip(&expected) {
-            assert_eq!(
-                *want,
-                canonical_bytes(request, &legacy_manifest),
-                "v1-manifest reload drift at {shards} shard(s)"
-            );
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
-
-    // Pre-manifest layout: a bare single `index.idx` next to the table
-    // store.
-    let (single, _) = engine_pair(&generated, WwtConfig::default(), 1);
-    let dir = std::env::temp_dir().join(format!("wwt_interned_legacy_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    wwt::index::persist::save(single.index().shard(0), &dir.join("index.idx")).unwrap();
-    single.store().save(&dir.join("tables.jsonl")).unwrap();
-    let legacy = Engine::load_from_dir(&dir, single.config().clone()).unwrap();
-    assert_eq!(legacy.n_shards(), 1);
-    for request in &requests {
-        assert_eq!(
-            canonical_bytes(request, &single),
-            canonical_bytes(request, &legacy),
-            "legacy index.idx drift"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -55,7 +55,6 @@ fn canonical_bytes(request: &QueryRequest, engine: &Engine) -> String {
         .answer(request)
         .expect("equivalence requests carry no deadline and valid options");
     response.diagnostics.timing = Default::default();
-    response.retrieval.timing = Default::default();
     encode_response(request, &response)
 }
 

@@ -2,7 +2,7 @@
 //! round-trip through files and keep answering queries identically.
 
 use wwt::html::extract_tables;
-use wwt::index::{persist, IndexBuilder, TableStore};
+use wwt::index::{persist, ShardedIndexBuilder, TableStore};
 use wwt::text::tokenize;
 
 fn sample_tables() -> Vec<wwt::model::WebTable> {
@@ -20,16 +20,15 @@ fn sample_tables() -> Vec<wwt::model::WebTable> {
 #[test]
 fn index_file_roundtrip_preserves_ranking() {
     let tables = sample_tables();
-    let mut b = IndexBuilder::new();
+    let mut b = ShardedIndexBuilder::new(1);
     for t in &tables {
         b.add_table(t);
     }
     let index = b.build();
-    let dir = std::env::temp_dir().join("wwt_integration");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.idx");
-    persist::save(&index, &path).unwrap();
-    let restored = persist::load(&path).unwrap();
+    let dir = std::env::temp_dir().join(format!("wwt_integration_idx_{}", std::process::id()));
+    persist::save_sharded(&index, &dir).unwrap();
+    let restored = persist::load_sharded(&dir).unwrap();
+    assert_eq!(restored.n_shards(), 1);
     for probe in ["country currency", "city population", "india"] {
         let q = tokenize(probe);
         let a = index.search(&q, 10);
@@ -40,7 +39,7 @@ fn index_file_roundtrip_preserves_ranking() {
             assert!((x.score - y.score).abs() < 1e-9);
         }
     }
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
