@@ -9,7 +9,7 @@
 //! | `wwt_http_requests_total{route,code}` | counter | Requests served, by route label and status code. |
 //! | `wwt_http_request_duration_seconds` | histogram | End-to-end request handling latency (12 buckets, 100 µs – 2.5 s). |
 //! | `wwt_http_requests_in_flight` | gauge | Requests currently being dispatched. |
-//! | `wwt_stage_duration_us{stage}` | histogram | Query pipeline stage wall-clock in microseconds (12 buckets, 50 µs – 250 ms) for `probe1`, `read1`, `probe2`, `read2`, `column_map`, `consolidate`, plus the serving-layer `cache_lookup` and `serialize` stages. |
+//! | `wwt_stage_duration_us{stage}` | histogram | Query pipeline stage wall-clock in microseconds (12 buckets, 50 µs – 250 ms), kept by the service and fed by every `/query` request and every `/query/batch` slot: a query that ran the engine (a cache miss, or any `explain` request — explain never hits the cache) observes `probe1`, `read1`, `probe2`, `read2`, `column_map` and `consolidate`; a cache hit or coalesced follower observes `cache_lookup`. `serialize` is observed once per `/query` response body. |
 //! | `wwt_cache_hits_total` | counter | Requests served from the response cache. |
 //! | `wwt_cache_misses_total` | counter | Requests that ran the engine. |
 //! | `wwt_cache_coalesced_total` | counter | Requests that joined an identical in-flight computation. |
@@ -48,7 +48,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-use wwt_obs::{Stage, StageHistograms};
+use wwt_obs::StageHistograms;
 use wwt_service::ServiceStats;
 
 /// Histogram bucket upper bounds, in seconds. Spans cached hits (tens of
@@ -144,12 +144,6 @@ pub struct Metrics {
     /// Queries answered 504 at admission, before any dispatch, because
     /// their deadline budget was already spent on arrival.
     queries_shed: AtomicU64,
-    /// Per-pipeline-stage duration histograms
-    /// (`wwt_stage_duration_us{stage=…}`), fed from each answered
-    /// query's [`StageTimings`](wwt_engine::StageTimings) plus the
-    /// serving-layer cache-lookup and serialization measurements — the
-    /// hot path pays only relaxed atomic bucket increments.
-    stage: StageHistograms,
 }
 
 impl Metrics {
@@ -216,17 +210,6 @@ impl Metrics {
         self.reload_failures.load(Ordering::Relaxed)
     }
 
-    /// Records one pipeline-stage duration in the
-    /// `wwt_stage_duration_us` histogram family.
-    pub fn observe_stage(&self, stage: Stage, elapsed: Duration) {
-        self.stage.observe(stage, elapsed.as_micros() as u64);
-    }
-
-    /// The per-stage histogram registry.
-    pub fn stage_histograms(&self) -> &StageHistograms {
-        &self.stage
-    }
-
     /// Records one query rejected at the concurrency limit (429).
     pub fn note_query_rejected(&self) {
         self.queries_rejected.fetch_add(1, Ordering::Relaxed);
@@ -249,8 +232,8 @@ impl Metrics {
     }
 
     /// Renders every series in Prometheus text format, folding in the
-    /// service's cache counters.
-    pub fn render_prometheus(&self, cache: &ServiceStats) -> String {
+    /// service's cache counters and its per-stage histograms.
+    pub fn render_prometheus(&self, cache: &ServiceStats, stages: &StageHistograms) -> String {
         let mut out = String::with_capacity(2048);
 
         out.push_str(
@@ -298,7 +281,7 @@ impl Metrics {
             self.in_flight()
         ));
 
-        self.stage.render_prometheus(&mut out);
+        stages.render_prometheus(&mut out);
 
         for (name, help, kind, value) in [
             (
@@ -511,6 +494,12 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wwt_obs::Stage;
+
+    /// Renders `m` over the fixture stats and empty stage histograms.
+    fn render(m: &Metrics) -> String {
+        m.render_prometheus(&cache_stats(), &StageHistograms::new())
+    }
 
     fn cache_stats() -> ServiceStats {
         ServiceStats {
@@ -559,7 +548,7 @@ mod tests {
         m.observe(Route::Healthz, 200, Duration::from_secs(9));
         assert_eq!(m.requests_total(), 4);
 
-        let text = m.render_prometheus(&cache_stats());
+        let text = render(&m);
         assert!(text.contains("wwt_http_requests_total{route=\"query\",code=\"200\"} 2\n"));
         assert!(text.contains("wwt_http_requests_total{route=\"query\",code=\"400\"} 1\n"));
         assert!(text.contains("wwt_http_requests_total{route=\"healthz\",code=\"200\"} 1\n"));
@@ -585,7 +574,7 @@ mod tests {
         m.note_reload_failure();
         assert_eq!(m.deadline_exceeded(), 2);
         assert_eq!(m.reload_failures(), 1);
-        let text = m.render_prometheus(&cache_stats());
+        let text = render(&m);
         assert!(text.contains("wwt_http_deadline_exceeded_total 2\n"));
         assert!(text.contains("wwt_engine_reload_failures_total 1\n"));
     }
@@ -596,7 +585,7 @@ mod tests {
         m.observe(Route::TablesIngest, 202, Duration::from_micros(900));
         m.observe(Route::TableDelete, 404, Duration::from_micros(100));
         m.observe(Route::Compact, 202, Duration::from_micros(400));
-        let text = m.render_prometheus(&cache_stats());
+        let text = render(&m);
         assert!(text.contains("wwt_http_requests_total{route=\"tables_ingest\",code=\"202\"} 1\n"));
         assert!(text.contains("wwt_http_requests_total{route=\"table_delete\",code=\"404\"} 1\n"));
         assert!(text.contains("wwt_http_requests_total{route=\"compact\",code=\"202\"} 1\n"));
@@ -611,7 +600,7 @@ mod tests {
     fn journal_and_batch_series_render() {
         let m = Metrics::new();
         m.observe(Route::TablesBatch, 202, Duration::from_micros(700));
-        let text = m.render_prometheus(&cache_stats());
+        let text = render(&m);
         assert!(text.contains("wwt_http_requests_total{route=\"tables_batch\",code=\"202\"} 1\n"));
         assert!(text.contains("wwt_batches_ingested_total 2\n"));
         assert!(text.contains("wwt_journal_attached 1\n"));
@@ -622,12 +611,12 @@ mod tests {
     #[test]
     fn stage_histograms_and_flight_counters_render() {
         let m = Metrics::new();
-        m.observe_stage(Stage::Probe1, Duration::from_micros(40));
-        m.observe_stage(Stage::Probe1, Duration::from_micros(900));
-        m.observe_stage(Stage::ColumnMap, Duration::from_millis(3));
-        m.observe_stage(Stage::Serialize, Duration::from_micros(10));
-        assert_eq!(m.stage_histograms().count(Stage::Probe1), 2);
-        let text = m.render_prometheus(&cache_stats());
+        let stages = StageHistograms::new();
+        stages.observe(Stage::Probe1, 40);
+        stages.observe(Stage::Probe1, 900);
+        stages.observe(Stage::ColumnMap, 3_000);
+        stages.observe(Stage::Serialize, 10);
+        let text = m.render_prometheus(&cache_stats(), &stages);
         assert!(text.contains("# TYPE wwt_stage_duration_us histogram"));
         assert!(text.contains("wwt_stage_duration_us_bucket{stage=\"probe1\",le=\"50\"} 1\n"));
         assert!(text.contains("wwt_stage_duration_us_bucket{stage=\"probe1\",le=\"+Inf\"} 2\n"));
@@ -642,7 +631,7 @@ mod tests {
     #[test]
     fn mapper_fast_path_counters_render() {
         let m = Metrics::new();
-        let text = m.render_prometheus(&cache_stats());
+        let text = render(&m);
         assert!(text.contains("wwt_map_edge_pairs_scored_total 128\n"));
         assert!(text.contains("wwt_map_edge_pairs_skipped_total 512\n"));
         assert!(text.contains("wwt_map_edge_pairs_memoized_total 96\n"));
@@ -656,7 +645,7 @@ mod tests {
         m.note_query_shed();
         m.note_query_shed();
         assert_eq!(m.queries_shed(), 2);
-        let text = m.render_prometheus(&cache_stats());
+        let text = render(&m);
         assert!(text.contains("wwt_internal_errors_total 2\n"));
         assert!(text.contains("wwt_degraded_queries_total 3\n"));
         assert!(text.contains("wwt_journal_retries_total 1\n"));
@@ -671,7 +660,7 @@ mod tests {
         m.request_started();
         m.request_finished();
         assert_eq!(m.in_flight(), 1);
-        let text = m.render_prometheus(&cache_stats());
+        let text = render(&m);
         assert!(text.contains("wwt_http_requests_in_flight 1\n"));
         m.request_finished();
         assert_eq!(m.in_flight(), 0);
@@ -680,37 +669,40 @@ mod tests {
     #[test]
     fn empty_registry_renders_valid_series() {
         let m = Metrics::new();
-        let text = m.render_prometheus(&ServiceStats {
-            hits: 0,
-            misses: 0,
-            coalesced: 0,
-            entries: 0,
-            shards: 0,
-            index_shards: 1,
-            generation: 0,
-            swap_count: 0,
-            deadline_exceeded: 0,
-            docset_cache_entries: 0,
-            delta_tables: 0,
-            delta_tombstones: 0,
-            tables_ingested: 0,
-            tables_deleted: 0,
-            compactions: 0,
-            batches_ingested: 0,
-            journal_attached: false,
-            journal_records: 0,
-            journal_bytes: 0,
-            recorder: wwt_service::RecorderCounters::default(),
-            map_edge_pairs_scored: 0,
-            map_edge_pairs_skipped: 0,
-            map_edge_pairs_memoized: 0,
-            map_early_exit_tables: 0,
-            map_pruned_tables: 0,
-            internal_errors: 0,
-            degraded_queries: 0,
-            journal_retries: 0,
-            read_only: false,
-        });
+        let text = m.render_prometheus(
+            &ServiceStats {
+                hits: 0,
+                misses: 0,
+                coalesced: 0,
+                entries: 0,
+                shards: 0,
+                index_shards: 1,
+                generation: 0,
+                swap_count: 0,
+                deadline_exceeded: 0,
+                docset_cache_entries: 0,
+                delta_tables: 0,
+                delta_tombstones: 0,
+                tables_ingested: 0,
+                tables_deleted: 0,
+                compactions: 0,
+                batches_ingested: 0,
+                journal_attached: false,
+                journal_records: 0,
+                journal_bytes: 0,
+                recorder: wwt_service::RecorderCounters::default(),
+                map_edge_pairs_scored: 0,
+                map_edge_pairs_skipped: 0,
+                map_edge_pairs_memoized: 0,
+                map_early_exit_tables: 0,
+                map_pruned_tables: 0,
+                internal_errors: 0,
+                degraded_queries: 0,
+                journal_retries: 0,
+                read_only: false,
+            },
+            &StageHistograms::new(),
+        );
         assert!(text.contains("wwt_http_request_duration_seconds_count 0\n"));
         assert!(text.contains("wwt_internal_errors_total 0\n"));
         assert!(text.contains("wwt_read_only 0\n"));

@@ -655,35 +655,14 @@ fn dispatch(
                         Ok(observed) => {
                             let answer_elapsed = answer_start.elapsed();
                             let response = &observed.response;
-                            if observed.engine_ran {
-                                // Feed the per-stage histograms from the
-                                // timings the engine already measured —
-                                // only for runs this request performed,
-                                // so cached bytes never re-observe the
-                                // pipeline that originally built them.
-                                let t = &response.diagnostics.timing;
-                                for (stage, elapsed) in [
-                                    (Stage::Probe1, t.index1),
-                                    (Stage::Read1, t.read1),
-                                    (Stage::Probe2, t.index2),
-                                    (Stage::Read2, t.read2),
-                                    (Stage::ColumnMap, t.column_map),
-                                    (Stage::Consolidate, t.consolidate),
-                                ] {
-                                    shared.metrics.observe_stage(stage, elapsed);
-                                }
-                            } else {
-                                // Cache/coalesced path: the end-to-end
-                                // service time *is* the lookup cost.
-                                shared
-                                    .metrics
-                                    .observe_stage(Stage::CacheLookup, answer_elapsed);
-                            }
+                            // The one stage the serving layer measures
+                            // itself; the service observes the rest.
                             let serialize_start = Instant::now();
                             let body = wire::encode_response(&req, response);
-                            shared
-                                .metrics
-                                .observe_stage(Stage::Serialize, serialize_start.elapsed());
+                            shared.service.stage_histograms().observe(
+                                Stage::Serialize,
+                                serialize_start.elapsed().as_micros() as u64,
+                            );
                             log!(
                                 LogLevel::Debug,
                                 "wwt-server",
@@ -723,7 +702,7 @@ fn dispatch(
                 let Some(_permit) = shared.try_acquire_query_slots(reqs.len().max(1)) else {
                     return reject_at_capacity(shared, route);
                 };
-                let results = shared.service.answer_batch(&reqs);
+                let results = shared.service.answer_batch(&reqs, request_id);
                 for slot in &results {
                     if matches!(slot, Err(WwtError::DeadlineExceeded(_))) {
                         shared.metrics.note_deadline_exceeded();
@@ -774,7 +753,9 @@ fn dispatch(
             route,
             200,
             PROM,
-            shared.metrics.render_prometheus(&shared.service.stats()),
+            shared
+                .metrics
+                .render_prometheus(&shared.service.stats(), shared.service.stage_histograms()),
         ),
         Route::Version => {
             // The journal path rides along (JSON-escaped — paths are

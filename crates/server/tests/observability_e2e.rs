@@ -1,7 +1,7 @@
 //! End-to-end tests for the observability layer: `x-request-id`
-//! propagation on every response path, explain-mode inline traces, the
-//! per-stage Prometheus histograms, and the admin-gated slow-query
-//! flight-recorder routes.
+//! propagation on every response path, explain-mode inline traces (on
+//! `/query` and on `/query/batch` slots), the per-stage Prometheus
+//! histograms, and the admin-gated slow-query flight-recorder routes.
 
 use std::sync::Arc;
 use wwt_engine::EngineBuilder;
@@ -265,5 +265,65 @@ fn debug_routes_are_admin_gated_and_serve_full_traces() {
         .unwrap();
     assert_eq!(gone.status, 404);
     assert!(gone.text().contains("rid-unknown"), "{}", gone.text());
+    handle.shutdown();
+}
+
+#[test]
+fn batch_slots_share_the_observed_query_path() {
+    let handle = start_admin("sesame");
+    let mut client = HttpClient::connect(handle.addr()).unwrap();
+    let body = r#"{"requests":[
+        {"query":"country | currency","options":{"explain":true}},
+        {"query":"country | currency"}]}"#;
+
+    // Twice: a cached explain slot would replay the first trace.
+    for _ in 0..2 {
+        let resp = client
+            .post_with_headers("/query/batch", body, &[("x-request-id", "b1")])
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        let v = Json::parse(&resp.text()).unwrap();
+        let slots = v.get("responses").and_then(Json::as_arr).unwrap();
+        let trace = slots[0]
+            .get("diagnostics")
+            .and_then(|d| d.get("trace"))
+            .expect("the explain slot embeds a trace");
+        assert_eq!(trace.get("request_id").and_then(Json::as_str), Some("b1#0"));
+        assert_eq!(
+            trace
+                .get("notes")
+                .and_then(|n| n.get("cache"))
+                .and_then(Json::as_str),
+            Some("bypass (explain)")
+        );
+        assert!(
+            slots[1].get("diagnostics").unwrap().get("trace").is_none(),
+            "plain slots stay trace-free"
+        );
+    }
+
+    // Every slot reached the flight recorder under its slot id.
+    let admin = [("x-admin-token", "sesame")];
+    for id in ["b1#0", "b1#1"] {
+        let found = client
+            .get_with_headers(&format!("/debug/trace/{id}"), &admin)
+            .unwrap();
+        assert_eq!(found.status, 200, "{id}: {}", found.text());
+        let t = Json::parse(&found.text()).unwrap();
+        assert_eq!(t.get("request_id").and_then(Json::as_str), Some(id));
+    }
+
+    // Engine runs: two explain slots plus the first plain slot; the
+    // repeated plain slot was a cache hit.
+    let text = client.get("/metrics").unwrap().text();
+    for (stage, count) in [("probe1", 3), ("consolidate", 3), ("cache_lookup", 1)] {
+        assert!(
+            text.contains(&format!(
+                "wwt_stage_duration_us_count{{stage=\"{stage}\"}} {count}\n"
+            )),
+            "stage {stage} must count {count}:\n{text}"
+        );
+    }
+    assert!(text.contains("wwt_flight_records_total 4\n"), "{text}");
     handle.shutdown();
 }

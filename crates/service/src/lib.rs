@@ -23,7 +23,10 @@
 //! * [`TableSearchService::answer_batch`], fanning a slice of requests
 //!   across a scoped worker pool (work-stealing over a shared cursor);
 //! * hit/miss/coalesce/entry/generation/deadline counters
-//!   ([`ServiceStats`]) for capacity planning.
+//!   ([`ServiceStats`]) for capacity planning, per-stage latency
+//!   histograms ([`TableSearchService::stage_histograms`]) and a
+//!   slow-query flight recorder, fed by one query body shared by every
+//!   entry point.
 //!
 //! Everything takes `&self`; one service instance can be shared across
 //! any number of threads.
@@ -41,9 +44,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use wwt_engine::{Engine, QueryRequest, QueryResponse};
 use wwt_index::{table_to_json, Journal, JournalRecord};
-use wwt_model::{Query, TableId, WebTable, WwtError};
+use wwt_model::{TableId, WebTable, WwtError};
 pub use wwt_obs::{FlightRecord, QueryOutcome, RecorderConfig, RecorderCounters};
-use wwt_obs::{FlightRecorder, SpanRecord, Trace, TraceReport};
+use wwt_obs::{FlightRecorder, SpanRecord, Stage, StageHistograms, Trace, TraceReport};
 
 /// Serving knobs.
 #[derive(Debug, Clone)]
@@ -56,7 +59,8 @@ pub struct ServiceConfig {
     /// (capped by the batch size).
     pub batch_threads: usize,
     /// Slow-query flight recorder retention
-    /// ([`TableSearchService::answer_observed`] feeds it).
+    /// ([`TableSearchService::answer_observed`] and every
+    /// [`TableSearchService::answer_batch`] slot feed it).
     pub recorder: RecorderConfig,
 }
 
@@ -130,8 +134,9 @@ pub struct ServiceStats {
     /// Bytes of intact records currently in the attached journal.
     pub journal_bytes: u64,
     /// Flight-recorder totals over every query that went through
-    /// [`TableSearchService::answer_observed`] (queries answered via the
-    /// plain [`TableSearchService::answer`] path are not recorded).
+    /// [`TableSearchService::answer_observed`], batch slots included
+    /// (queries answered via the plain [`TableSearchService::answer`]
+    /// path are not recorded).
     pub recorder: RecorderCounters,
     /// Column pairs whose exact similarity was computed during edge
     /// construction, summed over every engine run.
@@ -233,6 +238,9 @@ pub struct TableSearchService {
     /// front; queries never look at it.
     read_only: std::sync::atomic::AtomicBool,
     recorder: FlightRecorder,
+    /// Per-stage latency histograms, fed by every observed query and by
+    /// the serving layer's serialization step.
+    stages: StageHistograms,
     config: ServiceConfig,
 }
 
@@ -248,6 +256,9 @@ enum CachePath {
     Leader,
     /// Ran the engine after an abandoned flight (no coalescing).
     Fallback,
+    /// An `explain` request: ran the engine under a fresh trace,
+    /// bypassing the cache and singleflight.
+    Explain,
 }
 
 impl CachePath {
@@ -257,22 +268,17 @@ impl CachePath {
             CachePath::Shared => "shared",
             CachePath::Leader => "miss (leader)",
             CachePath::Fallback => "miss (fallback)",
+            CachePath::Explain => "bypass (explain)",
         }
     }
 }
 
-/// What [`TableSearchService::answer_observed`] returns: the response
-/// plus whether *this* call executed the engine (as opposed to serving
-/// cached or coalesced bytes) — so callers feeding per-stage histograms
-/// never re-observe a pipeline run that already happened.
+/// What [`TableSearchService::answer_observed`] returns.
 #[derive(Debug, Clone)]
 pub struct ObservedAnswer {
     /// The answer, shared exactly as [`TableSearchService::answer`]
     /// would return it.
     pub response: Arc<QueryResponse>,
-    /// True when this call ran the pipeline (singleflight leader,
-    /// post-flight fallback, or an explain bypass).
-    pub engine_ran: bool,
 }
 
 // One service serves many threads.
@@ -319,6 +325,7 @@ impl TableSearchService {
             journal_retries: AtomicU64::new(0),
             read_only: std::sync::atomic::AtomicBool::new(false),
             recorder: FlightRecorder::new(config.recorder),
+            stages: StageHistograms::new(),
             config,
         }
     }
@@ -574,125 +581,117 @@ impl TableSearchService {
     /// shares the leader's response instead of re-running the engine.
     /// Errors (bad options, expired deadlines) are never cached and
     /// never shared: a failed flight makes each caller compute (and
-    /// fail) for itself.
+    /// fail) for itself. `explain` requests never touch the cache or a
+    /// flight: each runs the engine under its own fresh trace.
     ///
     /// The snapshot is loaded once up front and the cache/singleflight
     /// key is qualified by its generation, so everything this request
     /// touches — cache hits, shared flights, the engine run itself —
     /// belongs to the one generation the caller observed, even while a
     /// concurrent [`TableSearchService::reload`] swaps the slot.
+    ///
+    /// Nothing is recorded: this is
+    /// [`answer_observed`](TableSearchService::answer_observed)'s body
+    /// without the flight record and stage histograms.
     pub fn answer(&self, request: &QueryRequest) -> Result<Arc<QueryResponse>, WwtError> {
-        self.answer_path(request).map(|(response, _)| response)
+        self.answer_path(request, "").map(|(response, _)| response)
     }
 
-    /// [`answer`](TableSearchService::answer) plus which serving path
-    /// produced the response, for the flight recorder.
+    /// The one query body behind every entry point: the response plus
+    /// which serving path produced it. `request_id` stamps the fresh
+    /// trace of an `explain` run.
     fn answer_path(
         &self,
         request: &QueryRequest,
+        request_id: &str,
     ) -> Result<(Arc<QueryResponse>, CachePath), WwtError> {
         let snapshot = self.slot.load();
+        if request.options.explain {
+            // A trace-carrying response is this execution's alone: never
+            // shared with a flight, never cached where a plain request
+            // (or another explain) could be served it.
+            let trace = Trace::enabled(request_id);
+            trace.note("cache", CachePath::Explain.label());
+            trace.note("generation", snapshot.generation.to_string());
+            return self
+                .execute(&snapshot, request, &trace)
+                .map(|response| (response, CachePath::Explain));
+        }
         let key = format!("g{}\u{1f}{}", snapshot.generation, request.cache_key());
         if let Some(hit) = self.cache_get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((hit, CachePath::Hit));
         }
-        match self.inflight.join(&key, || self.cache_get(&key)) {
+        let (leader, path) = match self.inflight.join(&key, || self.cache_get(&key)) {
             Role::Cached(hit) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok((hit, CachePath::Hit))
+                return Ok((hit, CachePath::Hit));
             }
             Role::Shared(Some(shared)) => {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
-                Ok((shared, CachePath::Shared))
+                return Ok((shared, CachePath::Shared));
             }
             // The leader failed (or unwound); coalescing is best-effort,
             // so compute directly — error paths fail fast anyway.
-            Role::Shared(None) => self
-                .run_engine(&snapshot, request, &key)
-                .map(|response| (response, CachePath::Fallback)),
-            Role::Leader(guard) => match self.execute(&snapshot, request) {
-                Ok(response) => {
-                    let response = Arc::new(response);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    // The cache insert happens while the flight closes, so
-                    // late joiners either share the flight or hit the cache
-                    // in their recheck — never a second engine run.
-                    guard.publish(Some(Arc::clone(&response)), || {
-                        if let Some(cache) = &self.cache {
-                            cache.insert(key.clone(), Arc::clone(&response));
-                        }
-                    });
-                    Ok((response, CachePath::Leader))
-                }
-                Err(e) => {
-                    guard.publish(None, || {});
-                    Err(e)
-                }
-            },
+            Role::Shared(None) => (None, CachePath::Fallback),
+            Role::Leader(guard) => (Some(guard), CachePath::Leader),
+        };
+        let result = self.execute(&snapshot, request, &Trace::disabled());
+        let insert = || {
+            if let (Some(cache), Ok(response)) = (&self.cache, &result) {
+                cache.insert(key.clone(), Arc::clone(response));
+            }
+        };
+        match leader {
+            // The cache insert happens while the flight closes, so late
+            // joiners either share the flight or hit the cache in their
+            // recheck — never a second engine run.
+            Some(guard) => guard.publish(result.as_ref().ok().cloned(), insert),
+            None => insert(),
         }
+        result.map(|response| (response, path))
     }
 
-    /// Answers one request under the flight recorder's watch, stamping it
-    /// with the caller-supplied `request_id` (the `x-request-id` of the
-    /// HTTP layer).
+    /// Answers one request under observation, stamping it with the
+    /// caller-supplied `request_id` (the `x-request-id` of the HTTP
+    /// layer). The body is exactly [`answer`](TableSearchService::answer)'s
+    /// — byte-identical responses; an `explain` request bypasses the
+    /// cache and singleflight and returns a
+    /// [`trace`](wwt_engine::QueryDiagnostics::trace) of this execution,
+    /// stamped with `request_id`. Afterwards:
     ///
-    /// * `explain` requests bypass the response cache and singleflight
-    ///   entirely: each one runs the engine with a fresh enabled
-    ///   [`Trace`], so the returned
-    ///   [`trace`](wwt_engine::QueryDiagnostics::trace) is this
-    ///   execution's, never a cached stranger's — and no trace-carrying
-    ///   response is ever cached where a plain request could share it.
-    /// * Plain requests take the exact
-    ///   [`answer`](TableSearchService::answer) path (byte-identical
-    ///   responses, zero tracing overhead in the engine); afterwards a
-    ///   stage-level trace is synthesized from the response's
-    ///   [`StageTimings`](wwt_engine::StageTimings) for the recorder.
-    ///
-    /// Every query lands in the flight recorder: the N slowest and N most
-    /// recent are retained, and deadline-exceeded / zero-result queries
-    /// are additionally kept in the anomaly buffer.
+    /// * the [stage histograms](TableSearchService::stage_histograms)
+    ///   are fed: a call that ran the engine observes the six pipeline
+    ///   stages from its [`StageTimings`](wwt_engine::StageTimings); a
+    ///   cache hit or a coalesced follower observes `cache_lookup` (its
+    ///   whole service time), so shared bytes never re-observe the run
+    ///   that built them;
+    /// * the query lands in the flight recorder: the N slowest and N most
+    ///   recent are retained, and deadline-exceeded / zero-result queries
+    ///   are additionally kept in the anomaly buffer. Plain queries get a
+    ///   stage-level trace synthesized from their timings.
     pub fn answer_observed(
         &self,
         request: &QueryRequest,
         request_id: &str,
     ) -> Result<ObservedAnswer, WwtError> {
         let t0 = Instant::now();
-        if request.options.explain {
-            let snapshot = self.slot.load();
-            let trace = Trace::enabled(request_id);
-            trace.note("cache", "bypass (explain)");
-            trace.note("generation", snapshot.generation.to_string());
-            let result = self.run_isolated(|| snapshot.engine.answer_traced(request, &trace));
-            return match result {
-                Ok(response) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    let response = Arc::new(response);
-                    self.record_flight(request, request_id, t0.elapsed(), Ok(&response), None);
-                    Ok(ObservedAnswer {
-                        response,
-                        engine_ran: true,
-                    })
+        let result = self.answer_path(request, request_id);
+        let elapsed = t0.elapsed();
+        if let Ok((response, path)) = &result {
+            // Cached and coalesced bytes were built by a run that was
+            // already observed: their whole service time is the lookup.
+            if matches!(path, CachePath::Hit | CachePath::Shared) {
+                self.stages
+                    .observe(Stage::CacheLookup, elapsed.as_micros() as u64);
+            } else {
+                for (stage, d) in response.diagnostics.timing.stages() {
+                    self.stages.observe(stage, d.as_micros() as u64);
                 }
-                Err(e) => {
-                    self.record_flight(request, request_id, t0.elapsed(), Err(&e), None);
-                    Err(e)
-                }
-            };
-        }
-        match self.answer_path(request) {
-            Ok((response, path)) => {
-                self.record_flight(request, request_id, t0.elapsed(), Ok(&response), Some(path));
-                Ok(ObservedAnswer {
-                    response,
-                    engine_ran: matches!(path, CachePath::Leader | CachePath::Fallback),
-                })
-            }
-            Err(e) => {
-                self.record_flight(request, request_id, t0.elapsed(), Err(&e), None);
-                Err(e)
             }
         }
+        self.record_flight(request, request_id, elapsed, &result);
+        result.map(|(response, _)| ObservedAnswer { response })
     }
 
     /// Captures one finished query in the flight recorder.
@@ -701,20 +700,19 @@ impl TableSearchService {
         request: &QueryRequest,
         request_id: &str,
         elapsed: Duration,
-        result: Result<&Arc<QueryResponse>, &WwtError>,
-        path: Option<CachePath>,
+        result: &Result<(Arc<QueryResponse>, CachePath), WwtError>,
     ) {
         let (outcome, rows) = match result {
-            Ok(response) if response.table.is_empty() => (QueryOutcome::ZeroResults, 0),
-            Ok(response) => (QueryOutcome::Ok, response.table.len()),
+            Ok((response, _)) if response.table.is_empty() => (QueryOutcome::ZeroResults, 0),
+            Ok((response, _)) => (QueryOutcome::Ok, response.table.len()),
             Err(WwtError::DeadlineExceeded(_)) => (QueryOutcome::DeadlineExceeded, 0),
             Err(_) => (QueryOutcome::Error, 0),
         };
         let trace = match result {
             // An explain run already carries its own full trace.
-            Ok(response) => match &response.diagnostics.trace {
+            Ok((response, path)) => match &response.diagnostics.trace {
                 Some(report) => report.clone(),
-                None => synthetic_trace(request_id, response, path, elapsed),
+                None => synthetic_trace(request_id, response, *path, elapsed),
             },
             Err(e) => error_trace(request_id, e, elapsed),
         };
@@ -756,30 +754,50 @@ impl TableSearchService {
         self.cache.as_ref().and_then(|cache| cache.get(key))
     }
 
-    /// Runs one engine call behind a panic barrier and ticks the
-    /// outcome counters. A pipeline panic that reaches this frame (an
-    /// injected `map.batch=panic`, a plain bug) becomes
+    /// One engine execution against a pinned snapshot, recording into
+    /// `trace`, behind a panic barrier. A pipeline panic that reaches
+    /// this frame (an injected `map.batch=panic`, a plain bug) becomes
     /// [`WwtError::Internal`] instead of unwinding into the serving stack
     /// — so a singleflight leader still closes its flight with an
     /// explicit failure and an HTTP worker answers 500 instead of dying;
     /// the error text carries the panic message so `/flights` anomalies
-    /// stay attributable. Every `Internal` result — such a caught panic,
-    /// or a shard-worker panic the engine already isolated — ticks
+    /// stay attributable. Ticks the outcome counters: a success counts
+    /// as a miss (one per engine run) and adds its mapper counters; every
+    /// `Internal` result — such a caught panic, or a shard-worker panic
+    /// the engine already isolated — ticks
     /// [`ServiceStats::internal_errors`].
-    fn run_isolated(
+    fn execute(
         &self,
-        f: impl FnOnce() -> Result<QueryResponse, WwtError>,
-    ) -> Result<QueryResponse, WwtError> {
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-                Err(WwtError::Internal(format!(
-                    "query pipeline panicked: {}",
-                    wwt_pool::panic_message(payload.as_ref())
-                )))
-            });
+        snapshot: &EngineSnapshot,
+        request: &QueryRequest,
+        trace: &Trace,
+    ) -> Result<Arc<QueryResponse>, WwtError> {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            snapshot.engine.answer_traced(request, trace)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(WwtError::Internal(format!(
+                "query pipeline panicked: {}",
+                wwt_pool::panic_message(payload.as_ref())
+            )))
+        });
         match &result {
-            Ok(response) if response.diagnostics.degraded => {
-                self.degraded_queries.fetch_add(1, Ordering::Relaxed);
+            Ok(response) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                if response.diagnostics.degraded {
+                    self.degraded_queries.fetch_add(1, Ordering::Relaxed);
+                }
+                let ms = response.diagnostics.map_stats;
+                self.map_edge_pairs_scored
+                    .fetch_add(ms.edge_pairs_scored, Ordering::Relaxed);
+                self.map_edge_pairs_skipped
+                    .fetch_add(ms.edge_pairs_skipped, Ordering::Relaxed);
+                self.map_edge_pairs_memoized
+                    .fetch_add(ms.edge_pairs_memoized, Ordering::Relaxed);
+                self.map_early_exit_tables
+                    .fetch_add(ms.early_exit_tables, Ordering::Relaxed);
+                self.map_pruned_tables
+                    .fetch_add(ms.pruned_tables, Ordering::Relaxed);
             }
             Err(WwtError::DeadlineExceeded(_)) => {
                 self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
@@ -787,68 +805,35 @@ impl TableSearchService {
             Err(WwtError::Internal(_)) => {
                 self.internal_errors.fetch_add(1, Ordering::Relaxed);
             }
-            _ => {}
+            Err(_) => {}
         }
-        result
-    }
-
-    /// One engine execution against a pinned snapshot, with the outcome
-    /// and mapper counters maintained and panics isolated.
-    fn execute(
-        &self,
-        snapshot: &EngineSnapshot,
-        request: &QueryRequest,
-    ) -> Result<QueryResponse, WwtError> {
-        let result = self.run_isolated(|| snapshot.engine.answer(request));
-        if let Ok(response) = &result {
-            let ms = response.diagnostics.map_stats;
-            self.map_edge_pairs_scored
-                .fetch_add(ms.edge_pairs_scored, Ordering::Relaxed);
-            self.map_edge_pairs_skipped
-                .fetch_add(ms.edge_pairs_skipped, Ordering::Relaxed);
-            self.map_edge_pairs_memoized
-                .fetch_add(ms.edge_pairs_memoized, Ordering::Relaxed);
-            self.map_early_exit_tables
-                .fetch_add(ms.early_exit_tables, Ordering::Relaxed);
-            self.map_pruned_tables
-                .fetch_add(ms.pruned_tables, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// Runs the engine outside any flight (the fallback when a flight
-    /// this caller joined was abandoned by its leader).
-    fn run_engine(
-        &self,
-        snapshot: &EngineSnapshot,
-        request: &QueryRequest,
-        key: &str,
-    ) -> Result<Arc<QueryResponse>, WwtError> {
-        let response = Arc::new(self.execute(snapshot, request)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(cache) = &self.cache {
-            cache.insert(key.to_string(), Arc::clone(&response));
-        }
-        Ok(response)
-    }
-
-    /// Parses and answers a raw `"kw kw | kw kw | ..."` query string.
-    pub fn answer_str(&self, query: &str) -> Result<Arc<QueryResponse>, WwtError> {
-        let query = Query::parse(query)?;
-        self.answer(&QueryRequest::new(query))
+        result.map(Arc::new)
     }
 
     /// Answers a batch of requests concurrently, fanning them over up to
-    /// `batch_threads` scoped workers ([`wwt_engine::fan_out`]). Results
-    /// come back in input order; each slot carries its own request's
-    /// result.
+    /// `batch_threads` scoped workers ([`wwt_engine::fan_out`]). Each
+    /// slot goes through
+    /// [`answer_observed`](TableSearchService::answer_observed) under the
+    /// id `<request_id>#<slot>`, so every slot is recorded and feeds the
+    /// stage histograms, and an `explain` slot carries its own trace
+    /// under that id. Results come back in input order; each slot
+    /// carries its own request's result.
     pub fn answer_batch(
         &self,
         requests: &[QueryRequest],
+        request_id: &str,
     ) -> Vec<Result<Arc<QueryResponse>, WwtError>> {
         wwt_engine::fan_out(requests.len(), self.config.batch_threads, |i| {
-            self.answer(&requests[i])
+            self.answer_observed(&requests[i], &format!("{request_id}#{i}"))
+                .map(|observed| observed.response)
         })
+    }
+
+    /// The per-stage latency histograms (`wwt_stage_duration_us`): the
+    /// six pipeline stages and `cache_lookup`, fed by every observed
+    /// query, plus `serialize`, which the serving layer observes here.
+    pub fn stage_histograms(&self) -> &StageHistograms {
+        &self.stages
     }
 
     /// Current serving counters.
@@ -908,20 +893,20 @@ impl TableSearchService {
 fn synthetic_trace(
     request_id: &str,
     response: &QueryResponse,
-    path: Option<CachePath>,
+    path: CachePath,
     elapsed: Duration,
 ) -> TraceReport {
     let trace = Trace::enabled(request_id);
-    if let Some(path) = path {
-        trace.note("cache", path.label());
-    }
+    trace.note("cache", path.label());
     let timing = &response.diagnostics.timing;
-    trace.push_span(stage_span("probe1", timing.index1, &timing.probe1_shards));
-    trace.span("read1", timing.read1);
-    trace.push_span(stage_span("probe2", timing.index2, &timing.probe2_shards));
-    trace.span("read2", timing.read2);
-    trace.span("column_map", timing.column_map);
-    trace.span("consolidate", timing.consolidate);
+    for (stage, d) in timing.stages() {
+        let shards: &[Duration] = match stage {
+            Stage::Probe1 => &timing.probe1_shards,
+            Stage::Probe2 => &timing.probe2_shards,
+            _ => &[],
+        };
+        trace.push_span(stage_span(stage.label(), d, shards));
+    }
     trace.note("candidates", response.diagnostics.n_candidates.to_string());
     trace.note("rows", response.table.len().to_string());
     trace
@@ -1052,13 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn answer_str_parses_and_rejects() {
-        let service = TableSearchService::new(tiny_engine());
-        assert!(service.answer_str("country | currency").is_ok());
-        assert!(matches!(service.answer_str(" | "), Err(WwtError::Query(_))));
-    }
-
-    #[test]
     fn errors_are_not_cached() {
         let service = TableSearchService::new(tiny_engine());
         let bad = QueryRequest::parse("country | currency")
@@ -1082,7 +1060,7 @@ mod tests {
                 .unwrap()
                 .algorithm(InferenceAlgorithm::Independent),
         ];
-        let batch = service.answer_batch(&requests);
+        let batch = service.answer_batch(&requests, "batch");
         assert_eq!(batch.len(), requests.len());
         assert!(batch[2].is_err(), "error requests keep their slot");
         for (i, req) in requests.iter().enumerate() {
@@ -1557,9 +1535,7 @@ mod tests {
         assert_eq!(service.stats().entries, 1);
 
         let traced = req.clone().explain(true);
-        let first = service.answer_observed(&traced, "rid-1").unwrap();
-        assert!(first.engine_ran, "explain always runs the engine");
-        let first = first.response;
+        let first = service.answer_observed(&traced, "rid-1").unwrap().response;
         let second = service.answer_observed(&traced, "rid-2").unwrap().response;
 
         // Each explain run executed the engine itself and cached nothing.
@@ -1587,23 +1563,58 @@ mod tests {
     }
 
     #[test]
+    fn batch_explain_slots_are_fresh_uncached_and_recorded() {
+        let service = TableSearchService::new(tiny_engine());
+        let requests = vec![
+            QueryRequest::parse("country | currency")
+                .unwrap()
+                .explain(true),
+            QueryRequest::parse("currency").unwrap(),
+        ];
+        let first = service.answer_batch(&requests, "rid");
+        let second = service.answer_batch(&requests, "rid");
+
+        // The explain slot ran the engine both times under its own trace,
+        // stamped with the slot id — never a cached stranger's.
+        let (a, b) = (first[0].as_ref().unwrap(), second[0].as_ref().unwrap());
+        assert!(!Arc::ptr_eq(a, b), "explain slot served from the cache");
+        for response in [a, b] {
+            let report = response.diagnostics.trace.as_ref().unwrap();
+            assert_eq!(report.request_id, "rid#0");
+        }
+        // Only the plain slot is cached; its repeat is a hit.
+        let stats = service.stats();
+        assert_eq!(stats.entries, 1, "{stats:?}");
+        assert_eq!(stats.hits, 1, "{stats:?}");
+        assert_eq!(stats.misses, 3, "{stats:?}");
+
+        // Every slot is recorded and observed.
+        assert_eq!(stats.recorder.recorded, 4, "{stats:?}");
+        assert!(service.find_trace("rid#0").is_some());
+        assert_eq!(
+            service.find_trace("rid#1").unwrap().request_id,
+            "rid#1",
+            "plain slots are recorded under their slot id"
+        );
+        let stages = service.stage_histograms();
+        assert_eq!(stages.count(Stage::Probe1), 3);
+        assert_eq!(stages.count(Stage::CacheLookup), 1);
+    }
+
+    #[test]
     fn flight_recorder_captures_outcomes_paths_and_finds_traces() {
         let service = TableSearchService::new(tiny_engine());
         let req = QueryRequest::parse("country | currency").unwrap();
 
-        // Engine run (leader), then a cache hit of the same query.
-        assert!(
-            service
-                .answer_observed(&req, "rid-cold")
-                .unwrap()
-                .engine_ran
-        );
-        assert!(
-            !service
-                .answer_observed(&req, "rid-warm")
-                .unwrap()
-                .engine_ran
-        );
+        // Engine run (leader) feeds the pipeline stages, then a cache
+        // hit of the same query feeds only the lookup stage.
+        let stages = service.stage_histograms();
+        service.answer_observed(&req, "rid-cold").unwrap();
+        assert_eq!(stages.count(Stage::Probe1), 1);
+        assert_eq!(stages.count(Stage::CacheLookup), 0);
+        service.answer_observed(&req, "rid-warm").unwrap();
+        assert_eq!(stages.count(Stage::Probe1), 1);
+        assert_eq!(stages.count(Stage::CacheLookup), 1);
         // A zero-result query and a deadline-exceeded one.
         let empty = QueryRequest::parse("xylophone | zzzz").unwrap();
         service.answer_observed(&empty, "rid-empty").unwrap();

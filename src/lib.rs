@@ -437,7 +437,9 @@
 //!   header, or a server-minted `wwt-{pid}-{seq}` id, so one id follows
 //!   a query through logs, traces and the flight recorder.
 //! * **Inline traces** — `"options":{"explain":true}` bypasses the
-//!   response cache and attaches a full span tree under
+//!   response cache and singleflight on every path (`/query`, each
+//!   `/query/batch` slot, in-process `answer`) and attaches a fresh
+//!   span tree under
 //!   `diagnostics.trace`: one span per pipeline stage (`probe1`,
 //!   `read1`, `probe2`, `read2`, `column_map`, `consolidate`) with
 //!   per-shard child spans, plus notes (candidate counts, cache path,
@@ -451,9 +453,12 @@
 //!   stage plus `cache_lookup` and `serialize`, fed from the stage
 //!   timings the engine already measures (cache hits tick only
 //!   `cache_lookup`, never re-observe the run that built the entry).
+//!   The service keeps them and feeds them from one query body, so a
+//!   `/query` request and every `/query/batch` slot count alike.
 //! * **Flight recorder** — the service retains the N slowest, N most
 //!   recent, and every deadline-exceeded / zero-result query with full
-//!   stage-level traces in lock-striped rings; the admin-gated
+//!   stage-level traces in lock-striped rings — batch slots included,
+//!   each under the id `{request_id}#{slot}`; the admin-gated
 //!   `GET /debug/slow_queries` and `GET /debug/trace/{request_id}`
 //!   routes serve them, and `flight_*` counters ride on `GET /stats`.
 //! * **Structured logs** — `wwt-serve --log-level error|warn|info|debug`
